@@ -23,7 +23,6 @@ from repro.streaming.engine import EngineConfig, simulate
 from repro.streaming.events import EventQueue, HeapEventQueue
 from repro.streaming.profiles import get_profile
 from repro.streaming.schedulers import SCHEDULER_NAMES
-from repro.streaming.soa import ENGINE_NAMES
 
 #: Workload shape, roughly the tvants engine mix: ~100 periodic sources
 #: ticking at 0.3 s, each tick scheduling ~1.5 one-shot follow-ups that
@@ -100,29 +99,24 @@ def test_engine_scheduler_throughput(benchmark, scheduler):
     benchmark.extra_info["simulated_s"] = SCHEDULER_BENCH_DURATION_S
 
 
-#: Engine-core comparison: every paper application at full profile scale
-#: (pplive's 4000-peer swarm is the largest population benchmarked here),
-#: under both the object reference core and the struct-of-arrays core.
-#: The two are byte-identical for this seed (the differential suite pins
-#: it), so the entries measure pure representation cost.  See
-#: ``docs/engine-internals.md`` for why SoA trails the object core at
-#: NAPA-WINE partner widths.
+#: Every paper application at full profile scale (pplive's 4000-peer
+#: swarm is the largest population benchmarked here), at the NAPA-WINE
+#: partner widths where the engine takes its narrow-set scan (see
+#: ``docs/engine-internals.md``).
 ENGINE_BENCH_DURATION_S = 30.0
 ENGINE_BENCH_APPS = ("pplive", "sopcast", "tvants")
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINE_NAMES))
 @pytest.mark.parametrize("app", ENGINE_BENCH_APPS)
-def test_engine_mode_throughput(benchmark, app, engine):
-    """Engine event throughput per engine core, per application."""
+def test_engine_profile_throughput(benchmark, app):
+    """Engine event throughput per application at profile scale."""
     profile = get_profile(app)
     config = EngineConfig(duration_s=ENGINE_BENCH_DURATION_S, seed=42)
 
     def run():
-        return simulate(profile, engine_config=config, engine=engine)
+        return simulate(profile, engine_config=config)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["engine"] = engine
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
     benchmark.extra_info["simulated_s"] = ENGINE_BENCH_DURATION_S

@@ -1,4 +1,4 @@
-"""Performance benchmarks: the engine cores at paper swarm scale.
+"""Performance benchmarks: the engine at paper swarm scale.
 
 The napa-scale profile runs the measured CCTV-1 population (1.8×10^5
 concurrent peers) on the sparse column swarm with alias discovery,
@@ -6,20 +6,17 @@ cohort ticking and the 1 Mbps HD channel.  Two benchmark families track
 it:
 
 * ``test_engine_crossover_throughput`` — the same profile resized to
-  4×10^3 and 4×10^4 peers, under both cores: the crossover axis the
-  performance docs tabulate (the object core wins small swarms, the
-  batched SoA kernels win at scale).
-* ``test_engine_scale_throughput`` — the full 1.8×10^5-peer swarm.  The
-  paired object/soa entries in ``BENCH_engine.json`` are the acceptance
-  record for the SoA core's scale advantage, and ``peak_rss_mb`` pins
-  the bounded-memory claim (the sparse swarm holds columns, not an
-  object per peer).
+  4×10^3 and 4×10^4 peers: the swarm-size axis the performance docs
+  tabulate.
+* ``test_engine_scale_throughput`` — the full 1.8×10^5-peer swarm;
+  ``peak_rss_mb`` pins the bounded-memory claim (the sparse swarm holds
+  columns, not an object per peer).
 
 A third family rides the lazy peer-state layer:
 
-* ``test_engine_scale_lazy_throughput`` — napa-scale (1.8×10^5) on the
-  SoA core with ``peer_state="lazy"``: the paired entry against the
-  eager ``test_engine_scale_throughput[soa]`` record.  The committed
+* ``test_engine_scale_lazy_throughput`` — napa-scale (1.8×10^5) with
+  ``peer_state="lazy"``: the paired entry against the eager
+  ``test_engine_scale_throughput`` record.  The committed
   pair is the acceptance record that lazy materialisation costs ≤10 %
   wall-clock at the paper's measured scale, and the CI gate holds the
   lazy entry to that line (``--max-regression 0.10``).
@@ -45,10 +42,8 @@ import pytest
 
 from repro.streaming.engine import EngineConfig, simulate
 from repro.streaming.profiles import get_profile
-from repro.streaming.soa import ENGINE_NAMES
 
-#: Short horizons keep the full-scale pair affordable (the 1.8×10^5-peer
-#: object run costs tens of seconds per simulated five minutes).
+#: Short horizons keep the full-scale pair affordable.
 CROSSOVER_DURATION_S = 120.0
 SCALE_DURATION_S = 300.0
 #: The mega swarms amortise less: one simulated minute is enough to pin
@@ -62,35 +57,31 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINE_NAMES))
 @pytest.mark.parametrize("swarm", [4000, 40_000])
-def test_engine_crossover_throughput(benchmark, swarm, engine):
-    """napa-scale resized across the object/SoA crossover region."""
+def test_engine_crossover_throughput(benchmark, swarm):
+    """napa-scale resized below the paper's swarm size."""
     profile = get_profile("napa-scale").scaled_swarm(swarm)
     config = EngineConfig(duration_s=CROSSOVER_DURATION_S, seed=SCALE_SEED)
 
     def run():
-        return simulate(profile, engine_config=config, engine=engine)
+        return simulate(profile, engine_config=config)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["engine"] = engine
     benchmark.extra_info["swarm"] = swarm
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
     benchmark.extra_info["simulated_s"] = CROSSOVER_DURATION_S
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINE_NAMES))
-def test_engine_scale_throughput(benchmark, engine):
-    """Both cores on the full paper-scale swarm (1.8×10^5 peers)."""
+def test_engine_scale_throughput(benchmark):
+    """The full paper-scale swarm (1.8×10^5 peers)."""
     profile = get_profile("napa-scale")
     config = EngineConfig(duration_s=SCALE_DURATION_S, seed=SCALE_SEED)
 
     def run():
-        return simulate(profile, engine_config=config, engine=engine)
+        return simulate(profile, engine_config=config)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["engine"] = engine
     benchmark.extra_info["swarm"] = profile.swarm_size
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
@@ -99,9 +90,9 @@ def test_engine_scale_throughput(benchmark, engine):
 
 
 def test_engine_scale_lazy_throughput(benchmark):
-    """napa-scale on the SoA core with lazy peer-state materialisation.
+    """napa-scale with lazy peer-state materialisation.
 
-    The paired entry for ``test_engine_scale_throughput[soa]``: identical
+    The paired entry for ``test_engine_scale_throughput``: identical
     run, ``peer_state="lazy"`` — on-demand score rows, first-contact
     busy/latency state, blockwise availability.  Byte-identical traces
     (the differential suite pins that); this entry records what the lazy
@@ -111,10 +102,9 @@ def test_engine_scale_lazy_throughput(benchmark):
     config = EngineConfig(duration_s=SCALE_DURATION_S, seed=SCALE_SEED)
 
     def run():
-        return simulate(profile, engine_config=config, engine="soa")
+        return simulate(profile, engine_config=config)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["engine"] = "soa"
     benchmark.extra_info["swarm"] = profile.swarm_size
     benchmark.extra_info["peer_state"] = "lazy"
     benchmark.extra_info["events"] = result.events_processed
@@ -132,7 +122,7 @@ def test_engine_scale_lazy_throughput(benchmark):
 def test_engine_mega_throughput(benchmark, swarm, peer_state):
     """The mega-scale swarm, eager vs lazy, across the memory crossover.
 
-    One simulated minute on the SoA core.  The lazy cells are the
+    One simulated minute.  The lazy cells are the
     acceptance record for the 10^6 memory envelope; the eager cells pin
     what swarm-proportional state costs at the same sizes (score rows
     alone are ~1.1 GB at 10^6).  Run each cell in its own process — see
@@ -144,10 +134,9 @@ def test_engine_mega_throughput(benchmark, swarm, peer_state):
     config = EngineConfig(duration_s=MEGA_DURATION_S, seed=SCALE_SEED)
 
     def run():
-        return simulate(profile, engine_config=config, engine="soa")
+        return simulate(profile, engine_config=config)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["engine"] = "soa"
     benchmark.extra_info["swarm"] = swarm
     benchmark.extra_info["peer_state"] = peer_state
     benchmark.extra_info["events"] = result.events_processed
@@ -161,22 +150,21 @@ def test_engine_mega_throughput(benchmark, swarm, peer_state):
     reason="hour-long acceptance run; set REPRO_SCALE_HOUR=1 to enable",
 )
 def test_engine_scale_hour(benchmark):
-    """One full simulated hour of napa-scale on the SoA core.
+    """One full simulated hour of napa-scale.
 
     The acceptance run behind the profile: a paper-length capture at the
     paper's swarm size must complete in bounded memory.  ``peak_rss_mb``
     in its ``BENCH_engine.json`` entry is that record — the sparse swarm
-    and the sliding SoA windows keep residency flat while chunk ids grow
+    and the sliding bitmap windows keep residency flat while chunk ids grow
     without bound over the hour.
     """
     profile = get_profile("napa-scale")
     config = EngineConfig(duration_s=3600.0, seed=SCALE_SEED)
 
     def run():
-        return simulate(profile, engine_config=config, engine="soa")
+        return simulate(profile, engine_config=config)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["engine"] = "soa"
     benchmark.extra_info["swarm"] = profile.swarm_size
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)

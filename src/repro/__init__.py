@@ -74,22 +74,19 @@ def run_experiment(
     duration_s: float = 600.0,
     seed: int = 7,
     scheduler: str | None = None,
-    engine: str | None = None,
     **kw,
 ):
     """Simulate one application for one capture window (convenience).
 
     ``scheduler`` overrides the profile's chunk-scheduling policy (one of
-    :data:`repro.streaming.schedulers.SCHEDULER_NAMES`); ``engine``
-    selects the engine core (:data:`repro.streaming.soa.ENGINE_NAMES`,
-    default: ``REPRO_ENGINE`` or the object core).
+    :data:`repro.streaming.schedulers.SCHEDULER_NAMES`).
     """
     profile = get_profile(profile_name)
     if scheduler is not None and scheduler != profile.scheduler:
         from dataclasses import replace
 
         profile = replace(profile, scheduler=scheduler)
-    return simulate(profile, duration_s=duration_s, seed=seed, engine=engine, **kw)
+    return simulate(profile, duration_s=duration_s, seed=seed, **kw)
 
 
 def flow_table_of(result: SimulationResult) -> FlowTable:

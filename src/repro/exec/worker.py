@@ -136,7 +136,6 @@ def _simulate_shard(
                 world=world,
                 testbed=testbed,
                 engine_config=engine_config,
-                engine=getattr(cfg, "engine", None),
             )
         except ReproError as exc:
             _log.warning(

@@ -47,7 +47,6 @@ from repro.obs.telemetry import Telemetry
 from repro.streaming.engine import EngineConfig, SimulationResult, simulate  # noqa: F401
 from repro.streaming.profiles import get_profile
 from repro.streaming.schedulers import default_scheduler, get_scheduler
-from repro.streaming.soa import default_engine, get_engine
 from repro.topology.testbed import Testbed
 from repro.topology.world import World
 from repro.trace.flows import FlowTable, build_flow_table  # noqa: F401
@@ -106,12 +105,6 @@ class CampaignConfig:
         ``REPRO_SCHEDULER`` environment variable when set, else
         mesh-pull — so CI can run entire suites under an alternative
         policy without code changes.
-    engine:
-        Engine core executing every app in the campaign (``"object"`` or
-        ``"soa"`` — see :mod:`repro.streaming.soa`).  Defaults to the
-        ``REPRO_ENGINE`` environment variable when set, else the object
-        core.  Both cores are byte-identical for a fixed seed, so the
-        choice never changes campaign results — only their cost.
     """
 
     apps: tuple[str, ...] = PAPER_APPS
@@ -123,7 +116,6 @@ class CampaignConfig:
     checkpoint_dir: str | None = None
     impairment: ImpairmentPlan | None = None
     scheduler: str = field(default_factory=default_scheduler)
-    engine: str = field(default_factory=default_engine)
 
     def __post_init__(self) -> None:
         if not self.apps:
@@ -133,7 +125,6 @@ class CampaignConfig:
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
         get_scheduler(self.scheduler)  # unknown names raise here
-        get_engine(self.engine)  # unknown names raise here
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,14 +261,6 @@ def _load_checkpoint(
         raise TraceError(
             f"checkpoint scheduler {meta.get('scheduler', 'mesh-pull')!r} "
             f"!= {cfg.scheduler!r}"
-        )
-    # Engine cores are byte-identical, so a mismatched checkpoint would
-    # hold the same numbers — but the campaign manifest records which
-    # core produced every run, and silently mixing cores would make that
-    # record a lie.  Stale-reuse detection beats a marginal resim saving.
-    if meta.get("engine", "object") != cfg.engine:
-        raise TraceError(
-            f"checkpoint engine {meta.get('engine', 'object')!r} != {cfg.engine!r}"
         )
     if int(meta.get("world_seed", -1)) != world.config.seed:
         raise TraceError("checkpoint world mismatch")

@@ -138,11 +138,9 @@ def summarize_benchmark(bench: dict, baseline: dict | None = None) -> dict:
     if simulated_s:
         entry["simulated_s"] = float(simulated_s)
         entry["wall_s_per_simulated_minute"] = wall * 60.0 / simulated_s
-    # Scale-benchmark annotations: which core ran, how large the swarm
-    # was, and the process RSS high-water mark (the bounded-memory record
-    # for the paper-scale entries).
-    if "engine" in extra:
-        entry["engine"] = str(extra["engine"])
+    # Scale-benchmark annotations: how large the swarm was, and the
+    # process RSS high-water mark (the bounded-memory record for the
+    # paper-scale entries).
     if "swarm" in extra:
         entry["swarm"] = int(extra["swarm"])
     if "peer_state" in extra:

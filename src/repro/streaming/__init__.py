@@ -16,7 +16,6 @@ from repro.streaming.chunk import ChunkClock
 from repro.streaming.video import VideoConfig
 from repro.streaming.selection import SelectionPolicy, SelectionWeights
 from repro.streaming.availability import AvailabilityConfig, RemoteAvailability
-from repro.streaming.buffer import PlayoutBuffer
 from repro.streaming.profiles import (
     AppProfile,
     PROFILES,
@@ -29,13 +28,7 @@ from repro.streaming.profiles import (
     tvants,
 )
 from repro.streaming.engine import Engine, EngineConfig, SimulationResult, simulate
-from repro.streaming.soa import (
-    ENGINE_NAMES,
-    SoAEngine,
-    SoAState,
-    default_engine,
-    get_engine,
-)
+from repro.streaming.soa import SoAState
 
 __all__ = [
     "ChunkClock",
@@ -44,7 +37,6 @@ __all__ = [
     "SelectionWeights",
     "AvailabilityConfig",
     "RemoteAvailability",
-    "PlayoutBuffer",
     "AppProfile",
     "PROFILES",
     "get_profile",
@@ -58,9 +50,5 @@ __all__ = [
     "EngineConfig",
     "SimulationResult",
     "simulate",
-    "ENGINE_NAMES",
-    "SoAEngine",
     "SoAState",
-    "default_engine",
-    "get_engine",
 ]

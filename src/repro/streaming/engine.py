@@ -38,11 +38,11 @@ from repro.population.sparse import (
     generate_sparse_swarm,
 )
 from repro.streaming.availability import RemoteAvailability
-from repro.streaming.buffer import PlayoutBuffer
 from repro.streaming.events import EventQueue
 from repro.streaming.profiles import AppProfile
 from repro.streaming.schedulers import get_scheduler
 from repro.streaming.selection import CandidateFeatures, SelectionPolicy
+from repro.streaming.soa import SoAState
 from repro.streaming.transport import (
     SignalingBook,
     TransferRecorder,
@@ -78,6 +78,31 @@ FIREWALL_DROP_PROB = 0.8
 _PARTNER_CTX_MAX = 8
 _THR_CACHE_MAX = 4096
 
+#: Partner-set width up to which a partner context also carries the
+#: scalar scan plan (per-partner tuples, per-chunk threshold lists) that
+#: the narrow-width mesh-pull kernel walks instead of building an
+#: availability matrix.  At a few dozen partners numpy's per-call cost
+#: outweighs the arithmetic it vectorises; see docs/engine-internals.md
+#: for the measurement behind the cut.
+_NARROW_PARTNERS = 48
+
+#: Extra chunk-range coverage built into each availability-threshold
+#: matrix, so the per-tick lookup only rebuilds when the live edge crosses
+#: the covered top (amortises the vectorised rebuild over many ticks).
+_THR_SLACK = 256
+
+#: Blockwise availability evaluation (lazy peer-state mode): threshold
+#: rows are grouped into fixed chunk-id spans of this many rows, built on
+#: first touch and reused across ticks — the thresholds are t-independent
+#: chunk constants, so a cached block is bit-for-bit the rows the per-tick
+#: rebuild would produce.
+_THR_BLOCK = 64
+
+#: Eviction budget for the block cache, in blocks.  The live window walks
+#: upward, so the lowest block id is evicted first; an evicted block that
+#: is touched again rebuilds bit-identically (memory-only bound).
+_THR_BLOCKS_MAX = 8
+
 #: Entry cap on the swarm-wide CDF memo.  Keys are holder score tuples;
 #: at mega scale the distinct-sequence space is large enough to grow the
 #: memo without bound, so past the cap it is dropped wholesale and warms
@@ -92,7 +117,7 @@ _CDF_CACHE_MAX = 65_536
 _SCORE_ROWS_BUDGET = 512 * 1024 * 1024
 
 #: Remote-population size beyond which the O(probes × peers) Python-list
-#: mirrors (provider-score rows, latency rows) stay numpy: at paper scale
+#: mirror of the latency rows stays numpy: at paper scale
 #: the ``.tolist()`` copies cost hundreds of MB for identical values.
 #: np.float64 hashes, compares and formats equal to the plain float, so
 #: the gate is invisible to traces — it only bounds memory.
@@ -244,7 +269,7 @@ class _RemapLatRow:
 
 
 class _PeerState:
-    """Discovery / partner-management state shared by both engine cores.
+    """One probe's discovery / partner-management state.
 
     ``known`` and ``partners`` stay Python sets — set iteration order is
     part of the deterministic trace (it decides candidate ordering and the
@@ -254,15 +279,15 @@ class _PeerState:
     Since an unmutated set iterates in a stable order, the cached arrays
     are element-for-element identical to per-event rebuilds.
 
-    Buffer / in-flight representation lives in the subclasses: the object
-    engine's :class:`_ProbeState` carries a :class:`PlayoutBuffer` and a
-    Python in-flight set, the struct-of-arrays engine's
-    :class:`repro.streaming.soa.SoAProbe` holds a row index into shared
-    bitmap arrays.
+    Buffer and in-flight state live in the engine's shared
+    :class:`~repro.streaming.soa.SoAState` bitmaps; ``pi`` (the probe
+    index, ``gidx - n_remote``) is this probe's row there and in every
+    per-probe score matrix.
     """
 
     __slots__ = (
         "gidx",
+        "pi",
         "known",
         "known_mask",
         "partners",
@@ -277,8 +302,9 @@ class _PeerState:
         "_filt_src",
     )
 
-    def __init__(self, gidx: int, n_peers: int, lazy: bool = False) -> None:
+    def __init__(self, gidx: int, pi: int, n_peers: int, lazy: bool = False) -> None:
         self.gidx = gidx
+        self.pi = pi
         self.known: set[int] = set()
         #: Dense mirror of ``known`` (discovery filters against it without
         #: the O(pool × known) set-probing of np.isin).
@@ -331,23 +357,6 @@ class _PeerState:
             self._filt_key = mask_key
             self._filt_src = arr
         return self._filt
-
-
-class _ProbeState(_PeerState):
-    """Object-engine probe: a per-probe :class:`PlayoutBuffer` plus a
-    Python in-flight set.  The differential reference representation."""
-
-    __slots__ = ("buffer", "chunks", "inflight")
-
-    def __init__(
-        self, gidx: int, buffer: PlayoutBuffer, n_peers: int, lazy: bool = False
-    ) -> None:
-        super().__init__(gidx, n_peers, lazy)
-        self.buffer = buffer
-        #: Borrowed reference to the buffer's live chunk set (mutated in
-        #: place, never reassigned) — saves a property hop per remote pull.
-        self.chunks = buffer.chunk_set
-        self.inflight: set[int] = set()
 
 
 @dataclass
@@ -413,11 +422,13 @@ class _BiasedSampler:
 
 
 class Engine:
-    """One experiment: one application profile on one synthetic Internet."""
+    """One experiment: one application profile on one synthetic Internet.
 
-    #: Engine-mode tag surfaced in result extras / trace metadata; the
-    #: struct-of-arrays subclass overrides it (see repro.streaming.soa).
-    mode = "object"
+    Probe buffers live in shared struct-of-arrays bitmaps
+    (:class:`~repro.streaming.soa.SoAState`); per-tick hole scans and
+    provider-candidate enumeration run as array kernels over them, with a
+    scalar plan for narrow partner sets (see ``_partner_ctx``).
+    """
 
     def __init__(
         self,
@@ -472,6 +483,27 @@ class Engine:
             self.config.max_probe_attempts if self._scheduler.truncate_scan else None
         )
         self._sched_push = self._scheduler.pushes
+        #: Cohort-tick availability state: ``_cohort_serial`` bumps once
+        #: per cohort build, ``_cohort_t``/``_cohort_floor`` stamp the
+        #: tick it covers.  A ctx whose ``cohort_serial`` matches holds a
+        #: prebuilt full-range availability block for this very tick, so
+        #: the per-probe scheduler call reduces to one row gather.
+        self._cohort_serial = 0
+        self._cohort_t = -1.0
+        self._cohort_floor = 0
+        #: Stacked remote scalars for the cohort build, memoised by the
+        #: participating ctxs' creation uids (collision-free, unlike
+        #: ``id()`` which the allocator recycles).
+        self._cohort_scalars_key: tuple = ()
+        self._cohort_delays: np.ndarray | None = None
+        self._cohort_ready: np.ndarray | None = None
+        self._ctx_uid = 0
+        #: Per-probe (partners array, ctx) memo of the last lookup.
+        self._pi_ctx: list = [None] * len(self._probes)
+        #: Blockwise availability cache (lazy mode): block id → threshold
+        #: block over the stacked cohort scalars.  Cleared whenever the
+        #: participating ctx set (and so the column stacking) changes.
+        self._thr_blocks: dict[int, np.ndarray] = {}
 
     # ----------------------------------------------------------- directory
     def _build_directory(self, population: "list[RemotePeer] | SparseSwarm") -> None:
@@ -630,24 +662,30 @@ class Engine:
         self._mask_t1 = -np.inf
         self._mask: np.ndarray = np.zeros(n, dtype=bool)
 
-    def _make_probes(self, n_peers: int) -> list[_PeerState]:
-        """Construct per-probe protocol state — the engine-core seam.
-
-        The object engine builds one :class:`PlayoutBuffer` per probe; the
-        SoA engine overrides this to allocate shared bitmap arrays and
-        return row-indexed :class:`~repro.streaming.soa.SoAProbe` views.
-        """
-        video = self.profile.video
-        probes: list[_PeerState] = []
-        for k in range(self.n_probe):
-            gidx = self.n_remote + k
-            buffer = PlayoutBuffer(self.clock, video.buffer_window_s, join_time=0.0)
-            probes.append(_ProbeState(gidx, buffer, n_peers, self._lazy))
-        return probes
+    def _build_probe_state(self, n_peers: int) -> None:
+        """Allocate the shared probe bitmaps and per-probe protocol state."""
+        interval = self.clock.chunk_interval
+        window_chunks = max(1, int(self.profile.video.buffer_window_s / interval))
+        # Margin below the eviction frontier kept addressable in-row: the
+        # longest a request can stay in flight (uplink backlog + slowest
+        # serialisation + latency slack), in chunks.  Purely a performance
+        # knob — bits that do slide off are rescued into the low sets.
+        slowest = self.clock.chunk_bytes * BITS_PER_BYTE / float(self._up.min())
+        margin = int((self.config.max_backlog_s + slowest + 0.2) / interval) + 4
+        if margin > 4096:
+            margin = 4096
+        self._soa = SoAState(self.n_probe, window_chunks, interval, margin)
+        #: Per-probe partner-context memos (see ``_partner_ctx``); bounded,
+        #: and entries rebuild bit-identically on miss.
+        self._ctx_store: list[dict[bytes, dict]] = [{} for _ in range(self.n_probe)]
+        self._probes = [
+            _PeerState(self.n_remote + k, k, n_peers, self._lazy)
+            for k in range(self.n_probe)
+        ]
 
     def _build_protocol_state(self) -> None:
         n = self.n_remote + self.n_probe
-        self._probes = self._make_probes(n)
+        self._build_probe_state(n)
         rng_sel = self._rngs["selection"]
         self._partner_policy = SelectionPolicy(
             self.profile.partner_weights, rng_sel, self.profile.selection_temperature
@@ -718,24 +756,12 @@ class Engine:
         #: tick loop can invert cached CDFs with a direct draw (same
         #: generator, same single-uniform consumption as sample_index).
         self._rng_sel = rng_sel
-        # Whether the peer directory is too large for Python-list mirrors
-        # of O(probes × peers) data (the lists trade ~2x scalar-read speed
-        # for a full copy; at paper scale that copy is hundreds of MB).
-        # np.float64 elements hash/compare/format equal to plain floats,
-        # so traces are unaffected either way.
+        # Whether the peer directory is too large for a Python-list mirror
+        # of the O(probes × peers) latency rows (the lists trade ~2x
+        # scalar-read speed for a full copy; at paper scale that copy is
+        # hundreds of MB).  np.float64 elements hash/compare/format equal
+        # to plain floats, so traces are unaffected either way.
         list_mirrors = (self.n_remote + self.n_probe) <= _LIST_MIRROR_MAX
-        #: Provider score rows as plain floats for cheap per-holder reads
-        #: (numpy rows beyond _LIST_MIRROR_MAX peers; absent in lazy mode,
-        #: where the partner context carries per-partner score lookups).
-        self._provider_scores_list: list | None = (
-            None
-            if self._lazy
-            else (
-                self._provider_scores.tolist()
-                if list_mirrors
-                else list(self._provider_scores)
-            )
-        )
         #: Per-probe memo of provider-selection CDFs (as sorted float
         #: lists), keyed by the holders' *score* tuple: the CDF is a pure
         #: function of the score sequence, so distinct holder sets with
@@ -747,8 +773,8 @@ class Engine:
         #: Entry budget for the CDF memo, read at the schedulers' insert
         #: sites (they cannot import this module — circular).
         self._cdf_cache_max = _CDF_CACHE_MAX
-        #: Per-probe memo of partner-array splits (see _partner_context).
-        self._partner_ctx: list[dict[bytes, tuple]] = [{} for _ in self._probes]
+        #: Entry budget for a narrow ctx's per-chunk threshold cache.
+        self._thr_cache_max = _THR_CACHE_MAX
         # Per-probe one-way latency rows (the latency model only depends on
         # subnet/AS/CC equality, all static); nested lists for scalar reads
         # at legacy scales, numpy rows beyond _LIST_MIRROR_MAX peers, and
@@ -880,7 +906,7 @@ class Engine:
         )
 
     # ------------------------------------------------------------- discovery
-    def _tracker_sample(self, probe: _ProbeState, k: int, t: float) -> np.ndarray:
+    def _tracker_sample(self, probe: _PeerState, k: int, t: float) -> np.ndarray:
         """Sample up to ``k`` new online peers for ``probe``.
 
         TVAnts-style AS-biased discovery oversamples same-AS peers by
@@ -926,7 +952,7 @@ class Engine:
             self._alias_tables[asn] = table
         return table
 
-    def _tracker_sample_alias(self, probe: _ProbeState, k: int, t: float) -> np.ndarray:
+    def _tracker_sample_alias(self, probe: _PeerState, k: int, t: float) -> np.ndarray:
         """Alias-sampled tracker/gossip reply — O(batch), not O(swarm).
 
         Draws candidates from a precomputed biased sampler over the whole
@@ -966,7 +992,7 @@ class Engine:
         keep = ~self._firewalled[arr] | (rng.random(len(arr)) >= FIREWALL_DROP_PROB)
         return arr[keep]
 
-    def _on_discovery(self, probe: _ProbeState) -> None:
+    def _on_discovery(self, probe: _PeerState) -> None:
         t = self._queue.now
         found = self._tracker_sample(probe, self.profile.contact_batch, t)
         hs = self.profile.handshake_bytes
@@ -978,7 +1004,7 @@ class Engine:
         self._queue.schedule(t + self.profile.contact_interval_s, self._on_discovery, probe)
 
     # -------------------------------------------------------------- partners
-    def _on_partner_refresh(self, probe: _ProbeState) -> None:
+    def _on_partner_refresh(self, probe: _PeerState) -> None:
         t = self._queue.now
         rng = self._rng_engine
         online = self._online_mask(t)
@@ -1023,125 +1049,216 @@ class Engine:
         self._queue.schedule(t + p.partner_refresh_s, self._on_partner_refresh, probe)
 
     # ------------------------------------------------------------- streaming
-    def _provider_has(self, g: int, chunk: int, t: float) -> bool:
-        """Whether peer ``g`` can serve ``chunk`` at ``t`` (ground truth for
-        probes, the availability oracle for remotes)."""
-        if g >= self.n_remote:
-            return self._probes[g - self.n_remote].buffer.has(chunk)
-        return self.availability.has_chunk(g, chunk, t)
+    def _tick_probe(self, probe: _PeerState, t: float) -> None:
+        """One probe's tick body (scan → schedule requests).
 
-    def _partner_context(self, pi: int, partners: np.ndarray) -> tuple:
-        """Split a partner array into oracle inputs, memoised per set.
-
-        Partner sets only change at refresh/churn boundaries, so the
-        remote/probe split, the fancy-indexed diffusion arrays, and the
-        per-column scan plan are reused across the many ticks in between.
-        The plan entry for column ``j`` is ``(gidx, remote_index, chunks)``
-        where ``chunks`` is the live buffer set for probe partners (None
-        for remotes, whose availability comes from the oracle row).  The
-        last slot maps a partner gidx to its provider score — the full
-        precomputed row when eager, a subset-scored dict when lazy
-        (identical doubles; see ``_build_protocol_state``).
+        The scan evicts, prunes in-flight requests that slid out of the
+        window and lists the holes in one pass over the probe's row.  The
+        scan limit is policy-dependent: mesh-pull takes the newest
+        ``max_probe_attempts`` holes, ordering policies (rarest, EDF)
+        need the whole window and budget their attempts themselves.
         """
-        key = partners.tobytes()
-        store = self._partner_ctx[pi]
-        ctx = store.get(key)
-        if ctx is not None:
-            thr_cache = ctx[4]
-            if len(thr_cache) > _THR_CACHE_MAX:
-                # Age out the oldest (lowest-id) half: the tick scan only
-                # consults chunks near the live edge, so low ids are dead
-                # weight.  Entries are a pure function of (chunk, ctx) and
-                # are recomputed bit-identically on miss, so pruning cannot
-                # perturb the trace — it only bounds long-run memory.
-                for c in sorted(thr_cache)[: len(thr_cache) // 2]:
-                    del thr_cache[c]
-            return ctx
-        is_remote = partners < self.n_remote
-        delays_arr, ready_arr = self.availability.subset(partners[is_remote])
-        # Plain float lists: the tick loop derives per-chunk arrival
-        # thresholds from these with scalar arithmetic (same IEEE adds
-        # and compares as the vectorised subset_thresholds).
-        delays = delays_arr.tolist()
-        ready = ready_arr.tolist()
-        plan = []
-        probe_plan = []
-        k = 0
-        for g in partners.tolist():
-            if g < self.n_remote:
-                plan.append((g, k, None))
-                k += 1
-            else:
-                chunks = self._probes[g - self.n_remote].buffer.chunk_set
-                probe_plan.append((len(plan), g, chunks))
-                plan.append((g, -1, chunks))
-        if self._lazy:
-            sarr = self._provider_policy.scores(
-                self._features(self.n_remote + pi, partners)
-            )
-            score_of: "dict | list | np.ndarray" = dict(
-                zip(partners.tolist(), sarr.tolist())
-            )
-        else:
-            score_of = self._provider_scores_list[pi]
-        # Fifth slot: per-chunk availability-threshold memo (see
-        # _on_tick); ``probe_plan`` mirrors the probe-partner columns
-        # in ascending column order for the no-remote-holder fast path.
-        ctx = (k > 0, delays, ready, plan, {}, probe_plan, score_of)
-        if len(store) >= _PARTNER_CTX_MAX:
-            # Oldest partner set first (insertion order): sets displaced
-            # by churn/refresh rarely return, and when one does the ctx is
-            # rebuilt bit-identically from the same static inputs.
-            store.pop(next(iter(store)))
-        store[key] = ctx
-        return ctx
-
-    def _tick_probe(self, probe: _ProbeState, t: float) -> None:
-        """One probe's tick body (scan → prune → schedule requests).
-
-        Shared by the staggered per-probe tick event and the cohort tick;
-        rescheduling stays with the callers.
-        """
-        # One combined buffer pass drives eviction, the missing scan and
-        # (below) in-flight pruning from the same window arithmetic.  The
-        # scan limit is policy-dependent: mesh-pull takes the newest
-        # ``max_probe_attempts`` holes, ordering policies (rarest, EDF)
-        # need the whole window and budget their attempts themselves.
-        floor, lookahead = probe.buffer.tick_scan(
-            t, self._live_lag, probe.inflight, self._scan_limit
-        )
-        # Prune in-flight requests that slid out of the window (rebuild
-        # only when something actually fell below the floor; pruned ids
-        # are < floor, which the missing scan excluded by range already).
-        if probe.inflight and min(probe.inflight) < floor:
-            probe.inflight = {c for c in probe.inflight if c >= floor}
+        soa = self._soa
+        pi = probe.pi
+        _, lookahead = soa.tick_scan(pi, t, self._live_lag, self._scan_limit)
         if lookahead and probe.partners:
             online = self._online_mask(t)
             partners = probe.online_partners(online, self._mask_key)
-            slots = self._max_parallel - len(probe.inflight)
+            slots = self._max_parallel - soa.inflight_n[pi]
             if slots > 0 and len(partners):
                 self._sched_requests(probe, t, lookahead, partners, slots)
-
-    def _on_tick(self, probe: _ProbeState) -> None:
-        t = self._queue.now
-        self._tick_probe(probe, t)
-        self._queue.schedule(t + self._tick_interval, self._cb_tick, probe)
 
     def _on_tick_cohort(self) -> None:
         """Tick every probe in one event, ascending probe order.
 
-        Selected by ``profile.tick_cohort``: protocol decisions and RNG
-        draws are the ones the staggered path would make at the same
-        timestamps — probes do not mutate each other's buffers within a
-        tick — but the SoA engine overrides this hook to batch the
-        per-probe kernels into single multi-probe array passes.
+        Selected by ``profile.tick_cohort``.  Trace-equivalent to calling
+        :meth:`_tick_probe` for each probe in turn at the same timestamp —
+        probes do not mutate each other's buffers within a tick — but
+        restructured into two passes so the per-tick numpy dispatches
+        amortise across probes:
+
+        1. **Scan pass** — one multi-row evict+scan
+           (:meth:`SoAState.tick_scan_all`) replaces ``n`` per-probe row
+           slices; the per-probe hole lists, online partner sets and free
+           request slots are collected as work items.
+        2. **Schedule pass** — :meth:`_cohort_build` precomputes every
+           work item's availability block over the union of the actual
+           hole ranges (per-ctx threshold compares, plus one shared 2-D
+           bitmap gather covering all probe-partner columns of all
+           items), then the schedulers run in ascending probe order, so
+           the RNG stream and event insertion order are untouched.
+
+        Reordering scans before schedules is trace-invariant: a scan
+        only mutates its own row below the shared floor (never scanned
+        by others) and draws no randomness, so no schedule can observe
+        the difference.
         """
         t = self._queue.now
+        soa = self._soa
+        floor, newest, scans = soa.tick_scan_all(t, self._live_lag, self._scan_limit)
+        works = []
+        online = None
         for probe in self._probes:
-            self._tick_probe(probe, t)
+            out, arr = scans[probe.pi]
+            if out and probe.partners:
+                if online is None:
+                    online = self._online_mask(t)
+                partners = probe.online_partners(online, self._mask_key)
+                slots = self._max_parallel - soa.inflight_n[probe.pi]
+                if slots > 0 and len(partners):
+                    ctx = self._partner_ctx(probe.pi, partners)
+                    works.append((probe, out, arr, partners, slots, ctx))
+        if works:
+            # Shrink coverage from [floor, newest] to the union of the
+            # works' actual hole ranges (hole arrays are newest-first, so
+            # arr[-1]/arr[0] bound each probe's holes).  At steady state
+            # holes cluster within a few chunks of the live edge while
+            # the scan window spans ~window_chunks, so this cuts the
+            # block build by an order of magnitude.  Per-chunk threshold
+            # and bitmap values are independent of the range start, so
+            # the precomputed blocks stay byte-identical.
+            cmin = min(int(w[2][-1]) for w in works)
+            cmax = max(int(w[2][0]) for w in works)
+            self._cohort_build(t, cmin, cmax, works)
+            for probe, out, arr, partners, slots, _ctx in works:
+                # Install the probe's scan pair so the scheduler's
+                # ``lookahead is scan_list`` reuse keeps working (its ctx
+                # lookup hits the per-probe memo set above).
+                soa.scan_list = out
+                soa.scan_arr = arr
+                self._sched_requests(probe, t, out, partners, slots)
         self._queue.schedule(t + self._tick_interval, self._cb_tick_cohort)
 
-    def _request_chunk(self, probe: _ProbeState, provider: int, chunk: int, t: float) -> bool:
+    def _cohort_build(self, t: float, floor: int, newest: int, works: list) -> None:
+        """Precompute availability blocks for one cohort tick.
+
+        ``[floor, newest]`` is the chunk range to cover — the caller
+        passes the union of the works' hole ranges, not the whole scan
+        window, so the span is a handful of rows at steady state.  Both
+        column families batch across the whole cohort:
+
+        * **Probe columns** — one 2-D fancy gather over the shared
+          bitmaps covering every ctx's probe-partner rows.
+        * **Remote columns** — one stacked threshold matrix over every
+          ctx's remote scalars (the per-ctx ``delays``/``ready`` vectors
+          concatenated once and memoised by ctx identity), compared
+          against ``t`` in a single elementwise pass.  The freshness
+          deadline ``gen + retention`` depends only on the chunk id, so
+          one span-length vector masks all ctxs at once.
+
+        Each ctx then gets its ``cohort_A`` block — remote columns
+        first, probe columns after, the exact column layout of
+        :meth:`_availability` — as two views into the stacked
+        matrices plus one concatenate.  The per-chunk values are
+        elementwise the ones the slow path would compute (same threshold
+        doubles, same IEEE compares), so the row-gather fast path is
+        byte-identical.
+        """
+        soa = self._soa
+        self._cohort_serial += 1
+        serial = self._cohort_serial
+        ci = self._av_chunk_interval
+        retention = self._av_retention
+        check_fresh = retention < soa.window_chunks * ci
+        ctxs = []
+        for work in works:
+            ctx = work[5]
+            if ctx["cohort_serial"] != serial:
+                ctx["cohort_serial"] = serial
+                ctxs.append(ctx)
+        pcols = [c["probe_rows_arr"] for c in ctxs if c["probe_rows_arr"].size]
+        PB = None
+        if pcols:
+            all_rows = np.concatenate(pcols)
+            S = (
+                np.arange(floor, newest + 1, dtype=np.int64)[:, None]
+                - soa.base_arr[all_rows][None, :]
+            )
+            PB = soa.have[all_rows[None, :], np.minimum(S, soa.capacity)]
+        rctxs = [c for c in ctxs if c["n_rem"]]
+        AV = None
+        if rctxs:
+            key = tuple(c["uid"] for c in rctxs)
+            if key != self._cohort_scalars_key:
+                self._cohort_scalars_key = key
+                self._cohort_delays = np.concatenate(
+                    [c["delays"] for c in rctxs]
+                )
+                self._cohort_ready = np.concatenate([c["ready"] for c in rctxs])
+                self._thr_blocks.clear()
+            gens = np.arange(floor, newest + 1, dtype=np.float64) * ci
+            if self._lazy:
+                # Blockwise path: thresholds are t-independent chunk
+                # constants, so rows persist across ticks in fixed-span
+                # blocks and only the boolean compare runs per tick.
+                thr = self._thr_window(floor, newest, ci)
+            else:
+                thr = np.maximum(
+                    gens[:, None] + self._cohort_delays[None, :],
+                    self._cohort_ready[None, :],
+                )
+            AV = thr <= t
+            if check_fresh:
+                AV &= (gens + retention > t)[:, None]
+        roff = poff = 0
+        for ctx in ctxs:
+            avail = pb = None
+            n = ctx["n_rem"]
+            if n:
+                avail = AV[:, roff : roff + n]
+                roff += n
+            k = ctx["probe_rows_arr"].size
+            if k:
+                pb = PB[:, poff : poff + k]
+                poff += k
+            if avail is None:
+                ctx["cohort_A"] = pb
+            elif pb is None:
+                ctx["cohort_A"] = avail
+            else:
+                ctx["cohort_A"] = np.concatenate((avail, pb), axis=1)
+        self._cohort_t = t
+        self._cohort_floor = floor
+
+    def _thr_window(self, floor: int, newest: int, ci: float) -> np.ndarray:
+        """Assemble ``[floor, newest]`` threshold rows from cached blocks.
+
+        Each block covers chunk ids ``[b·B, (b+1)·B)`` against the current
+        stacked cohort scalars.  A block row for chunk ``c`` is
+        ``max(c·ci + delay, ready)`` — ``np.arange(lo, lo + B) * ci``
+        produces the same ``c·ci`` doubles as the window-wide arange, and
+        ``np.maximum`` is elementwise, so the assembled window is
+        bit-for-bit the matrix the eager path builds per tick.  The live
+        window only walks upward, so eviction drops the lowest block id;
+        a re-touched block rebuilds identically (memory-only bound).
+        """
+        blocks = self._thr_blocks
+        b0 = floor // _THR_BLOCK
+        b1 = newest // _THR_BLOCK
+        parts = []
+        for b in range(b0, b1 + 1):
+            blk = blocks.get(b)
+            if blk is None:
+                lo = b * _THR_BLOCK
+                gens_b = np.arange(lo, lo + _THR_BLOCK, dtype=np.float64) * ci
+                blk = np.maximum(
+                    gens_b[:, None] + self._cohort_delays[None, :],
+                    self._cohort_ready[None, :],
+                )
+                while len(blocks) >= _THR_BLOCKS_MAX:
+                    blocks.pop(min(blocks))
+                blocks[b] = blk
+            parts.append(blk)
+        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        lo0 = b0 * _THR_BLOCK
+        return stack[floor - lo0 : newest + 1 - lo0]
+
+    def _on_tick(self, probe: _PeerState) -> None:
+        t = self._queue.now
+        self._tick_probe(probe, t)
+        self._queue.schedule(t + self._tick_interval, self._cb_tick, probe)
+
+    def _request_chunk(self, probe: _PeerState, provider: int, chunk: int, t: float) -> bool:
         """Issue a chunk request; returns True when a transfer was queued.
 
         Recording and latency lookups are inlined (same rows, same tuples
@@ -1198,22 +1315,32 @@ class Engine:
         bn = up if up < dn else dn  # bottleneck_bps, inlined
         arrival = start + nbytes * BITS_PER_BYTE / bn + lat
         self._rec_append((start, ipl[provider], ipl[pg], nbytes, _KIND_VIDEO, bn))
-        probe.inflight.add(chunk)
+        # Inlined SoAState.inflight_add for the common case (the hole is
+        # inside the row and not yet marked); the method handles the rest.
+        soa = self._soa
+        pi = probe.pi
+        i = soa.row_off[pi] + chunk
+        if chunk < soa.row_top[pi] and not soa.infl_buf[i]:
+            soa.infl_buf[i] = 1
+            soa.inflight_n[pi] += 1
+        else:
+            soa.inflight_add(pi, chunk)
         probe.busy[provider] += 1
         if probe.busy[provider] >= self._cap_out:
             probe.busy_over.add(provider)
         self._queue.schedule(arrival, self._cb_arrival, probe, chunk, provider)
         return True
 
-    def _on_chunk_arrival(self, probe: _ProbeState, chunk: int, provider: int) -> None:
-        probe.inflight.discard(chunk)
-        probe.buffer.add(chunk)
+    def _on_chunk_arrival(self, probe: _PeerState, chunk: int, provider: int) -> None:
+        soa = self._soa
+        pi = probe.pi
+        soa.inflight_discard(pi, chunk)
+        soa.have_add(pi, chunk)
         if probe.busy[provider] > 0:
             probe.busy[provider] -= 1
             if probe.busy[provider] < self._cap_out:
                 probe.busy_over.discard(provider)
         if self._sched_push:
-            # Push-based policies forward the chunk onwards from here.
             self._scheduler.on_chunk_received(probe, chunk, provider, self._queue.now)
 
     # ------------------------------------------------------ remote demand
@@ -1262,7 +1389,7 @@ class Engine:
             t + self.config.demand_rebalance_s, self._on_demand_rebalance
         )
 
-    def _schedule_pulls(self, remote: int, probe: _ProbeState, t0: float, t1: float) -> None:
+    def _schedule_pulls(self, remote: int, probe: _PeerState, t0: float, t1: float) -> None:
         """Draw the remote's pull times for one rebalance window, batched.
 
         The RNG draws (Poisson count, sorted uniform times) are identical
@@ -1313,7 +1440,7 @@ class Engine:
     def _on_remote_pull(
         self,
         remote: int,
-        probe: _ProbeState,
+        probe: _PeerState,
         delay: float,
         ready: float,
         times: list[float],
@@ -1326,7 +1453,8 @@ class Engine:
         resolved once per window in :meth:`_schedule_pulls` and carried in
         the chain arguments.  The newest-serveable scan — the newest of
         the ≤ 6 chunks below ``want`` that the probe holds and the remote
-        still lacks — is inlined here with the oracle's exact arithmetic
+        still lacks — reads the probe's row straight from the shared byte
+        buffer and inlines the oracle's exact arithmetic
         (``max(gen + delay, ready) > t`` or aged past retention).
         """
         t = times[i]
@@ -1342,7 +1470,12 @@ class Engine:
             )
             want = wants[i]
             if want >= 0:
-                held = probe.chunks
+                soa = self._soa
+                pi = probe.pi
+                hb = soa.have_buf
+                b = soa.base[pi]
+                top = soa.row_top[pi]
+                off = soa.row_off[pi]
                 ci = self._av_chunk_interval
                 ret = self._av_retention
                 lo = want - 6
@@ -1350,7 +1483,7 @@ class Engine:
                     lo = 0
                 chunk = want
                 while chunk >= lo:
-                    if chunk in held:
+                    if hb[off + chunk] if b <= chunk < top else chunk in soa.low[pi]:
                         gen = chunk * ci
                         arrival = gen + delay
                         if ready > arrival:
@@ -1389,6 +1522,197 @@ class Engine:
                 times[i], self._cb_pull, remote, probe, delay, ready, times, wants, i
             )
 
+    # --------------------------------------------------------- array kernels
+    def _partner_ctx(self, pi: int, partners: np.ndarray) -> dict:
+        """Per-partner-set scan inputs for probe ``pi``, memoised per set.
+
+        Partner sets only change at refresh/churn boundaries, so the
+        remote/probe split, the diffusion scalars, the provider scores and
+        the availability-threshold cache are reused across the many ticks
+        in between.  Every ctx carries the array layout the vectorised
+        kernels use (see :meth:`_availability`) and ``score_of``, each
+        partner's provider score.  A narrow set (≤ ``_NARROW_PARTNERS``
+        partners) also carries ``narrow``, a scalar scan plan tuple:
+
+        * ``(gidx, remote column, probe row)`` per partner in plan order
+          (column ``-1`` for probes, row ``-1`` for remotes);
+        * ``(gidx, probe row)`` for the probe partners alone;
+        * the remote ``delays`` and ``ready`` scalars as float lists;
+        * a chunk → ``(thresholds, min, fresh_until)`` cache of the
+          per-chunk ``max(gen + delay, ready)`` list over the remote
+          columns (the same IEEE doubles as the threshold matrix).
+        """
+        # ``online_partners`` returns the same array object while the
+        # online mask and partner set are unchanged, so successive ticks
+        # short-circuit to one pointer compare (the memo holds the array,
+        # so its identity cannot be recycled).
+        pair = self._pi_ctx[pi]
+        if pair is not None and pair[0] is partners:
+            return pair[1]
+        key = partners.tobytes()
+        store = self._ctx_store[pi]
+        ctx = store.get(key)
+        if ctx is None:
+            ctx = self._build_partner_ctx(pi, partners)
+            if len(store) >= _PARTNER_CTX_MAX:
+                # Oldest partner set first (insertion order): sets displaced
+                # by churn/refresh rarely return, and when one does the ctx
+                # is rebuilt bit-identically from the same static inputs.
+                store.pop(next(iter(store)))
+            store[key] = ctx
+        self._pi_ctx[pi] = (partners, ctx)
+        return ctx
+
+    def _build_partner_ctx(self, pi: int, partners: np.ndarray) -> dict:
+        """A fresh partner context (see :meth:`_partner_ctx`)."""
+        cols = partners.tolist()
+        nr = self.n_remote
+        is_remote = partners < nr
+        delays, ready = self.availability.subset(partners[is_remote])
+        n_rem = int(is_remote.sum())
+        # The availability matrix stores the remote columns as a leading
+        # block and the probe columns as a trailing block (each in plan
+        # order), so the kernel assembles it with one concatenate instead
+        # of fancy column scatters.  ``plan_cols`` maps every plan
+        # position to its matrix column: permuting the matrix with it
+        # makes a flat ``nonzero`` walk visit advertisers in plan order,
+        # and ``plan_g`` maps the walk straight back to partner ids.
+        r = p = 0
+        plan_cols = []
+        plan = []
+        for g in cols:
+            if g < nr:
+                plan_cols.append(r)
+                plan.append((g, r, -1))
+                r += 1
+            else:
+                plan_cols.append(n_rem + p)
+                plan.append((g, -1, g - nr))
+                p += 1
+        plan_g = partners.copy()
+        # Provider scores over the plan columns.  Eager: a gather from
+        # the precomputed swarm-wide row.  Lazy: scored on demand over just
+        # these columns — SelectionPolicy.scores is elementwise per
+        # candidate, so the subset compute yields the identical IEEE
+        # doubles the full-row gather would.
+        if self._lazy:
+            plan_scores = self._provider_policy.scores(
+                self._features(nr + pi, plan_g)
+            )
+        else:
+            plan_scores = self._provider_scores[pi][plan_g]
+        ctx = {
+            "plan_cols": np.array(plan_cols, dtype=np.int64),
+            "plan_g": plan_g,
+            "n_rem": n_rem,
+            "delays": delays,
+            "ready": ready,
+            "plan_scores": plan_scores,
+            "score_of": dict(zip(cols, plan_scores.tolist())),
+            # Probe-partner bitmap rows, in plan order, for the gather.
+            "probe_rows_arr": np.array(
+                [g - nr for g in cols if g >= nr], dtype=np.int64
+            ),
+            "thr_r0": 0,
+            "thr": None,
+            "fresh": None,
+            "narrow": (
+                (
+                    plan,
+                    [(g, row) for g, _k, row in plan if row >= 0],
+                    delays.tolist(),
+                    ready.tolist(),
+                    {},
+                )
+                if len(cols) <= _NARROW_PARTNERS
+                else None
+            ),
+            # Cohort-tick block (see _cohort_build): valid only while
+            # the serial matches the engine's current cohort build.
+            "cohort_serial": 0,
+            "cohort_A": None,
+            "uid": self._ctx_uid,
+        }
+        self._ctx_uid += 1
+        return ctx
+
+    def _availability(
+        self,
+        ctx: dict,
+        chunks_arr: np.ndarray,
+        t: float,
+        cmin: int | None = None,
+        cmax: int | None = None,
+    ) -> np.ndarray:
+        """Availability matrix for ``chunks_arr`` against one partner ctx.
+
+        ``cmin``/``cmax`` are optional chunk-range bounds (plain ints) the
+        caller already knows; any superset of the scanned range is valid —
+        they only steer threshold-matrix coverage.
+
+        Columns are the ctx's block layout — remote partners first, probe
+        partners after, each in plan order; ``ctx["plan_cols"]`` maps plan
+        positions to columns (see ``_partner_ctx``).  Remote columns
+        answer through the diffusion-threshold matrix
+        ``thr = max(gen + delay, ready)`` with the per-chunk freshness
+        deadline ``gen + retention`` — elementwise the exact IEEE doubles
+        of the narrow plan's per-chunk threshold lists.  Probe columns
+        gather straight from the shared ``have`` bitmaps.
+
+        Cohort fast path: when :meth:`_cohort_build` already covered this
+        ctx for this very tick (serial + timestamp match), the block holds
+        the full scanned range ``[floor, newest]`` and every caller's
+        chunk set is a subset of it, so the matrix is one row gather.
+        """
+        if ctx["cohort_serial"] == self._cohort_serial and t == self._cohort_t:
+            return ctx["cohort_A"][chunks_arr - self._cohort_floor]
+        avail = pb = None
+        if ctx["n_rem"]:
+            if cmin is None:
+                cmin = int(chunks_arr[-1])
+                cmax = int(chunks_arr[0])
+                if cmin > cmax:  # lookahead is usually descending; be exact
+                    cmin, cmax = int(chunks_arr.min()), int(chunks_arr.max())
+            thr = ctx["thr"]
+            r0 = ctx["thr_r0"]
+            if thr is None or cmin < r0 or cmax >= r0 + thr.shape[0]:
+                r0 = cmin
+                gens = (
+                    np.arange(r0, cmax + 1 + _THR_SLACK, dtype=np.float64)
+                    * self._av_chunk_interval
+                )
+                thr = np.maximum(
+                    gens[:, None] + ctx["delays"][None, :], ctx["ready"][None, :]
+                )
+                ctx["thr_r0"] = r0
+                ctx["thr"] = thr
+                ctx["fresh"] = gens + self._av_retention
+            rows = chunks_arr - r0
+            avail = thr[rows] <= t
+            # Freshness (gen + retention > t) is vacuously true for every
+            # scanned chunk when the retention window covers the playout
+            # window: chunks sit at/above floor ≥ live − W + 1, so
+            # t − gen < W·ci ≤ retention.  Only compare when it can bite.
+            if self._av_retention < self._soa.window_chunks * self._av_chunk_interval:
+                avail &= (ctx["fresh"][rows] > t)[:, None]
+        rows_arr = ctx["probe_rows_arr"]
+        if rows_arr.size:
+            soa = self._soa
+            # One 2-D gather for every probe column.  Scanned chunks sit
+            # at/above every probe's eviction frontier ≥ its base — any
+            # partner's base ≤ its own floor at its last tick ≤ the
+            # scanner's current floor — so S ≥ 0 always (ids a partner
+            # parked in its low set are below the scanner's floor and
+            # never scanned).  Slots past the row top clamp onto the
+            # always-False guard column: "not held", no mask needed.
+            S = chunks_arr[:, None] - soa.base_arr[rows_arr][None, :]
+            pb = soa.have[rows_arr[None, :], np.minimum(S, soa.capacity)]
+        if avail is None:
+            return pb
+        if pb is None:
+            return avail
+        return np.concatenate((avail, pb), axis=1)
+
     # ------------------------------------------------------------------- run
     def run(self) -> SimulationResult:
         """Execute the experiment and return the raw result bundle."""
@@ -1410,7 +1734,7 @@ class Engine:
             )
         if cohort:
             # All probes tick in one event (ascending probe order) so the
-            # SoA kernels can batch across the cohort.
+            # array kernels can batch across the cohort.
             self._queue.schedule(0.05, self._on_tick_cohort)
         self._queue.schedule(0.0, self._on_demand_rebalance)
 
@@ -1460,9 +1784,8 @@ class Engine:
         }
         if self._lazy:
             # Residency accounting for the lazy materialisation layer —
-            # counts, not floats, and identical across engine cores for a
-            # fixed seed (the touch sequence is part of the byte-identity
-            # contract).
+            # counts, not floats, and a pure function of the seed (the
+            # touch sequence is part of the determinism contract).
             stats["lazy"] = {
                 "score_rows_cached": int(len(self._remote_rows)),
                 "score_row_hits": int(self._remote_rows.hits),
@@ -1491,7 +1814,7 @@ class Engine:
             profile=self.profile,
             config=self.config,
             events_processed=events,
-            extras={"engine_stats": stats, "engine_mode": self.mode},
+            extras={"engine_stats": stats},
         )
 
 
@@ -1504,7 +1827,6 @@ def simulate(
     testbed: Testbed | None = None,
     demographics: Demographics | None = None,
     engine_config: EngineConfig | None = None,
-    engine: str | None = None,
 ) -> SimulationResult:
     """Run one complete experiment for ``profile`` — the main entry point.
 
@@ -1512,11 +1834,6 @@ def simulate(
     generates the profile's audience, runs the engine, and returns the raw
     result.  The audience honours the profile's ``eu_audience_boost`` and
     ``probe_as_fraction`` (channel-popularity effects).
-
-    ``engine`` selects the engine core (``"object"`` or ``"soa"`` — see
-    :mod:`repro.streaming.soa`); ``None`` defers to ``REPRO_ENGINE`` and
-    then the object default.  Both cores are byte-identical for a fixed
-    seed; the SoA core scans all probes with shared-array kernels.
     """
     config = engine_config or EngineConfig(duration_s=duration_s, seed=seed)
     if world is None:
@@ -1553,9 +1870,9 @@ def simulate(
             PopulationConfig(size=profile.swarm_size, demographics=demographics),
             rngs["population"],
         )
-    # Late import: repro.streaming.soa imports this module (Engine is its
-    # base class), so the registry cannot be bound at import time.
+    # Resolved at call time: wrappers of engine construction patch
+    # ``repro.streaming.soa.get_engine``.
     from repro.streaming.soa import get_engine
 
-    cls = get_engine(engine)
+    cls = get_engine(None)
     return cls(world, testbed, profile, population, config).run()

@@ -116,7 +116,7 @@ class AppProfile:
     #: that targets have had time to diffuse to remote providers too.
     live_lag_chunks: int = 3
     #: When true, all probes tick in one cohort event (ascending probe
-    #: order) instead of 46 staggered per-probe events, letting the SoA
+    #: order) instead of 46 staggered per-probe events, letting the
     #: engine batch its per-tick kernels across the whole cohort.  Trace
     #: semantics are unchanged — only event grouping differs — but cohort
     #: and staggered runs of the same profile are *different* experiments.
@@ -378,7 +378,7 @@ def napa_scale() -> AppProfile:
     sparse column representation: audience demographics follow the
     BitTorrent cross-swarm study mix, tracker/gossip replies are
     alias-sampled (O(batch), not O(swarm)), and all probes tick in one
-    cohort so the SoA engine can batch its kernels across probes.
+    cohort so the engine can batch its kernels across probes.
 
     The channel is the paper's HD case: 1 Mbps video in 16 kB chunks
     (a 128 ms chunk clock, ~7.8 chunks/s), the rate class the paper

@@ -26,7 +26,13 @@ import numpy as np
 
 
 class ChunkScheduler:
-    """Base strategy: subclasses implement :meth:`schedule_requests`."""
+    """Base strategy: subclasses implement :meth:`schedule_requests`.
+
+    Probe buffers live in the engine's shared bitmaps
+    (``engine._soa``, a :class:`~repro.streaming.soa.SoAState`); partner
+    availability comes from ``engine._partner_ctx`` and
+    ``engine._availability``.
+    """
 
     #: Registry key (also the CLI / profile / campaign-config spelling).
     name = "abstract"
@@ -51,78 +57,30 @@ class ChunkScheduler:
 
         ``lookahead`` is the probe's missing-chunk list, newest first;
         ``partners`` the online partner array.  Implementations call
-        ``engine._request_chunk`` per decision.
+        ``engine._request_chunk`` per decision, visit each chunk's holders
+        in ascending partner-column order, and skip an empty holder set
+        without touching an RNG.
         """
         raise NotImplementedError
 
     def on_chunk_received(self, probe, chunk: int, provider: int, t: float) -> None:
         """Arrival hook (only called when :attr:`pushes` is True)."""
 
-    def schedule_requests_soa(self, probe, t: float, lookahead, partners, slots: int) -> None:
-        """Per-tick entry point under the struct-of-arrays engine core.
-
-        Default: run the object-path decision procedure — the SoA probe's
-        compatibility views (``chunks``/``inflight``/``buffer``) make it
-        correct for any policy, just without the array speedup.  The
-        built-in policies override this with vectorised kernels that read
-        the shared bitmaps directly; overrides must obey the same
-        determinism contract (RNG draw points, ascending-column holder
-        order) so both engine cores stay byte-identical.
-        """
-        self.schedule_requests(probe, t, lookahead, partners, slots)
-
     # ----------------------------------------------------------- helpers
-    def _advertised(self, probe, t: float, chunk: int, ctx) -> list[int]:
-        """Partners advertising ``chunk`` at ``t`` (buffer-map ground truth).
-
-        Uses the engine's cached partner context: remote partners through
-        the per-chunk diffusion thresholds, probe partners through their
-        live buffer sets.  The scan preserves ascending column order, so
-        the advertiser list is deterministic for a given partner set.
-        """
-        has_remotes, delays, ready, plan, thr_cache, _probe_plan, _score_of = ctx
-        eng = self._engine
-        thr_list = None
-        if has_remotes:
-            ent = thr_cache.get(chunk)
-            if ent is None:
-                ci = eng._av_chunk_interval
-                gen = chunk * ci
-                thr_list = [
-                    r if r > (m := gen + d) else m for d, r in zip(delays, ready)
-                ]
-                ent = (thr_list, min(thr_list), gen + eng._av_retention)
-                thr_cache[chunk] = ent
-            thr_list, _min_thr, fresh_until = ent
-            if t >= fresh_until:
-                thr_list = None  # aged out of every remote retention window
-        advertisers: list[int] = []
-        for g, k, chunks in plan:
-            if chunks is None:
-                if thr_list is not None and t >= thr_list[k]:
-                    advertisers.append(g)
-            elif chunk in chunks:
-                advertisers.append(g)
-        return advertisers
-
-    def _pick_holder(self, probe, holders: list[int], score_of=None) -> int:
+    def _pick_holder(self, holders: list[int], score_of: dict) -> int:
         """Awareness-weighted provider choice over ``holders``.
 
         The exact decision procedure of the mesh-pull core: with the
         profile's ``explore_prob`` pick uniformly (one engine-stream
         draw), otherwise invert the memoised softmax CDF of the holders'
         awareness scores with one selection-stream uniform.  ``score_of``
-        maps a holder gidx to its provider score — the partner context
-        carries it (full precomputed row when eager, subset-scored dict
-        when lazy, identical doubles); ``None`` falls back to the eager
-        engine-wide rows.
+        maps a holder gidx to its provider score (the partner context's
+        ``score_of``).
         """
         eng = self._engine
         rng = eng._rng_engine
         if rng.random() < eng._explore_prob:
             return int(rng.integers(len(holders)))
-        if score_of is None:
-            score_of = eng._provider_scores_list[probe.gidx - eng.n_remote]
         key = tuple([score_of[g] for g in holders])
         cdf = eng._cdf_cache.get(key)
         if cdf is None:

@@ -53,36 +53,14 @@ class EdfScheduler(ChunkScheduler):
         return live
 
     def schedule_requests(self, probe, t, lookahead, partners, slots) -> None:
-        eng = self._engine
-        ctx = eng._partner_context(probe.gidx - eng.n_remote, partners)
-        busy = probe.busy
-        cap = eng._cap_out
-        interval = eng._av_chunk_interval
-        window_chunks = probe.buffer.window_chunks
-        attempts = 0
-        max_attempts = eng._max_attempts
-        for chunk in self.order_candidates(lookahead, t, interval, window_chunks):
-            if slots <= 0 or attempts >= max_attempts:
-                break
-            attempts += 1
-            holders = [
-                g for g in self._advertised(probe, t, chunk, ctx) if busy[g] < cap
-            ]
-            if not holders:
-                continue
-            pick = self._pick_holder(probe, holders, ctx[6])
-            if eng._request_chunk(probe, holders[pick], chunk, t):
-                slots -= 1
-
-    def schedule_requests_soa(self, probe, t, lookahead, partners, slots) -> None:
         """Deadline order against the shared arrays.
 
         ``(chunk + W) * interval`` over an int64 array is the elementwise
         IEEE twin of the scalar ``playout_deadline``, so the expired-chunk
         filter is exact; deadlines increase strictly with the chunk id, so
         the ascending-id sort *is* the deadline order (unique keys — no
-        tie-break ambiguity).  Attempts, busy filtering and the provider
-        draw mirror the object loop.
+        tie-break ambiguity).  Every unexpired chunk consumes an attempt,
+        holder-less ones included.
         """
         if not lookahead:
             return
@@ -99,18 +77,17 @@ class EdfScheduler(ChunkScheduler):
             return
         sel = sel[np.argsort(chunks_all[sel], kind="stable")]
         chunks_arr = chunks_all[sel]
-        ctx = eng._soa_partner_ctx(probe.pi, partners)
+        ctx = eng._partner_ctx(probe.pi, partners)
         # Bounds from the full hole list (newest-first): any superset of
         # the filtered subset's range steers coverage correctly.
-        A = eng._soa_availability(
+        A = eng._availability(
             ctx, chunks_arr, t, cmin=lookahead[-1], cmax=lookahead[0]
         )
         # Flat advertised-pair walk over the plan-order permutation (see
         # the mesh-pull kernel); rows come back in ascending row order,
         # matching the deadline iteration, and holder-less chunks still
         # consume an attempt below.  Holders are C-level slices of the
-        # flat partner list minus ``busy_over`` (the at-cap providers) —
-        # the same predicate the object loop checks pairwise.
+        # flat partner list minus ``busy_over`` (the at-cap providers).
         ri, cj = A[:, ctx["plan_cols"]].nonzero()
         gs_all = ctx["plan_g"][cj].tolist()
         chunks_list = chunks_arr.tolist()
@@ -133,6 +110,6 @@ class EdfScheduler(ChunkScheduler):
                 holders = gs_all[s0:s1]
             if not holders:
                 continue
-            pick = self._pick_holder(probe, holders, ctx["score_of"])
+            pick = self._pick_holder(holders, ctx["score_of"])
             if eng._request_chunk(probe, holders[pick], chunks_list[i], t):
                 slots -= 1

@@ -58,31 +58,21 @@ class PushEpidemicScheduler(MeshPullScheduler):
             probe, t, self.order_candidates(lookahead, budget), partners, budget
         )
 
-    def schedule_requests_soa(self, probe, t, lookahead, partners, slots) -> None:
-        # Same live-edge budget slice, routed to the mesh-pull array
-        # kernel.  The push half (on_chunk_received) runs unchanged under
-        # both engine cores: the SoA probe's buffer/in-flight views answer
-        # its membership checks and duplicate suppression exactly.
-        budget = min(slots, self.seed_requests)
-        if budget <= 0:
-            return
-        super().schedule_requests_soa(
-            probe, t, self.order_candidates(lookahead, budget), partners, budget
-        )
-
     def on_chunk_received(self, probe, chunk: int, provider: int, t: float) -> None:
         """Forward a freshly received chunk to partner probes lacking it."""
         eng = self._engine
+        soa = eng._soa
         nr = eng.n_remote
         probes = eng._probes
+        floor = soa.window_floor(t)
         targets: list[int] = []
         for g in probe.partners:
             if g < nr:
                 continue  # remote availability is statistical; no push path
-            st = probes[g - nr]
-            if chunk in st.chunks or chunk in st.inflight:
+            row = g - nr
+            if soa.has(row, chunk) or soa.inflight_has(row, chunk):
                 continue
-            if chunk < st.buffer.window_range(t).start:
+            if chunk < floor:
                 continue  # already past the target's playout window
             targets.append(g)
         if not targets:
@@ -101,7 +91,7 @@ class PushEpidemicScheduler(MeshPullScheduler):
         for i in picked:
             g = int(cands[i])
             st = probes[g - nr]
-            if chunk in st.inflight:
+            if soa.inflight_has(st.pi, chunk):
                 continue  # a previous fanout pick of this very push
             # Inlined UplinkScheduler.admit on the pusher's uplink.
             start = free[pg]
@@ -115,7 +105,7 @@ class PushEpidemicScheduler(MeshPullScheduler):
             bn = up if up < dn else dn
             lat = probe.lat_row[g]
             eng._rec_append((start, ipl[pg], ipl[g], nbytes, _KIND_VIDEO, bn))
-            st.inflight.add(chunk)
+            soa.inflight_add(st.pi, chunk)
             st.busy[pg] += 1
             if st.busy[pg] >= eng._cap_out:
                 st.busy_over.add(pg)

@@ -1,14 +1,12 @@
 """The original mesh-pull chunk-selection core, as a strategy object.
 
-This is the code that used to live inline in ``Engine._on_tick``, moved
-verbatim: the same operations in the same order on the same state, so the
-RNG draw sequence — and therefore every byte of the trace — is identical
-to the pre-refactor engine.  ``tests/golden/engine_trace_hashes.json``
-(generated *before* the extraction) pins that equivalence.
+This is the selection loop that used to live inline in the engine tick;
+``tests/golden/engine_trace_hashes.json`` (generated before it was
+extracted) pins every byte of its trace.
 
 Policy: walk the missing chunks newest-first, find the partners that can
 serve each (remotes through the cached per-chunk diffusion thresholds,
-probe partners through their live buffers), and pick one provider per
+probe partners through their buffer bitmaps), and pick one provider per
 chunk with the awareness-weighted softmax (or a uniform exploration draw).
 """
 
@@ -33,31 +31,44 @@ class MeshPullScheduler(ChunkScheduler):
         return list(holes)
 
     def schedule_requests(self, probe, t, lookahead, partners, slots) -> None:
+        """Newest-first selection against the shared arrays.
+
+        Narrow partner sets (the context carries a scalar plan) walk the
+        chunks one by one, here; wide ones go through one availability
+        matrix (:meth:`_schedule_wide`).  Both visit holders in ascending
+        partner-column order, skip empty holder sets without touching an
+        RNG and draw the provider with the same explore/CDF code, so the
+        choice between them never changes a trace.
+
+        Narrow scan: per-chunk remote thresholds are cached chunk
+        constants, and their minimum and freshness deadline give a fast
+        path — while no remote partner can serve a chunk (min threshold
+        > t, or aged out everywhere), only the probe partners' bits are
+        read.  Probe bits come straight from the shared byte buffer:
+        scanned chunks sit at or above every partner's row base, and
+        chunks past the row top read as not held.  The provider draw is
+        :meth:`_pick_holder`, inlined (it runs once per decision).
+        """
+        if not lookahead:
+            return
         eng = self._engine
-        pi = probe.gidx - eng.n_remote
-        has_remotes, delays, ready, plan, thr_cache, probe_plan, score_row = (
-            eng._partner_context(pi, partners)
-        )
-        # Outstanding-request counts are read straight off probe.busy:
-        # _request_chunk increments it for the picked provider, so the
-        # counts this tick sees are exactly the snapshot-plus-local-
-        # increments the old copied row held.
-        busy = probe.busy
-        cap = eng._cap_out
+        ctx = eng._partner_ctx(probe.pi, partners)
+        narrow = ctx["narrow"]
+        if narrow is None:
+            self._schedule_wide(probe, t, lookahead, ctx, slots)
+            return
+        score_of = ctx["score_of"]
+        soa = eng._soa
+        hb = soa.have_buf
+        row_off = soa.row_off
+        row_top = soa.row_top
+        plan, probe_plan, delays, ready, thr_cache = narrow
+        has_remotes = len(delays) > 0
+        busy_over = probe.busy_over
         cdf_cache = eng._cdf_cache
-        cdf_cache_max = eng._cdf_cache_max
         rng = eng._rng_engine
-        sel_rand = eng._rng_sel.random
-        explore_prob = eng._explore_prob
         cache_get = thr_cache.get
-        ci = eng._av_chunk_interval
-        retention = eng._av_retention
-        # Per-chunk availability thresholds are chunk constants
-        # (``max(gen + delay, ready)`` per remote, the scalar twin
-        # of subset_thresholds); the oracle reduces to direct
-        # ``t >= threshold`` compares, with a min-threshold /
-        # freshness-deadline fast path that skips the whole
-        # candidate scan while no remote can possibly serve.
+        thr_list = None
         for chunk in lookahead:
             if slots <= 0:
                 break
@@ -65,80 +76,67 @@ class MeshPullScheduler(ChunkScheduler):
             if has_remotes:
                 ent = cache_get(chunk)
                 if ent is None:
-                    gen = chunk * ci
+                    gen = chunk * eng._av_chunk_interval
                     thr_list = [
-                        r if r > (m := gen + d) else m
-                        for d, r in zip(delays, ready)
+                        r if r > (m := gen + d) else m for d, r in zip(delays, ready)
                     ]
-                    ent = (thr_list, min(thr_list), gen + retention)
+                    ent = (thr_list, min(thr_list), gen + eng._av_retention)
+                    if len(thr_cache) >= eng._thr_cache_max:
+                        # Age out the oldest (lowest-id) half: scans only
+                        # reach chunks near the live edge, and entries are
+                        # pure functions of (chunk, ctx), so this bounds
+                        # memory without touching the trace.
+                        for c in sorted(thr_cache)[: len(thr_cache) // 2]:
+                            del thr_cache[c]
                     thr_cache[chunk] = ent
                 thr_list, min_thr, fresh_until = ent
-                # min over the thresholds: some remote serves the
-                # chunk iff any threshold ≤ t, i.e. the min is.
+                # Some remote serves the chunk iff any threshold ≤ t,
+                # i.e. iff the minimum is (and it is still fresh).
                 remotes_live = min_thr <= t < fresh_until
-            holders: list[int] = []
-            if not remotes_live:
-                # No remote partner has diffused this chunk yet (or
-                # it aged out everywhere): only probe partners can
-                # hold it.  Scanning just their columns preserves
-                # the ascending column order of the full scan.
-                if not probe_plan:
-                    continue
-                for _j, g, chunks in probe_plan:
-                    if busy[g] < cap and chunk in chunks:
-                        holders.append(g)
-            else:
-                # Candidate scan in ascending column order — the
-                # same holder ordering the vectorised mask produced.
-                for g, k, chunks in plan:
-                    if busy[g] >= cap:
-                        continue
-                    if chunks is None:
+            if remotes_live:
+                holders = []
+                for g, k, row in plan:
+                    if k >= 0:
                         if t < thr_list[k]:
                             continue
-                    elif chunk not in chunks:
+                    elif chunk >= row_top[row] or not hb[row_off[row] + chunk]:
                         continue
                     holders.append(g)
+            elif probe_plan:
+                holders = []
+                for g, row in probe_plan:
+                    if chunk < row_top[row] and hb[row_off[row] + chunk]:
+                        holders.append(g)
+            else:
+                continue
+            if busy_over and holders:
+                holders = [g for g in holders if g not in busy_over]
             if not holders:
                 continue
-            if rng.random() < explore_prob:
+            if rng.random() < eng._explore_prob:
                 pick = int(rng.integers(len(holders)))
             else:
-                # The selection CDF is a pure function of the
-                # holders' score sequence, so it is memoised by
-                # score tuple (computed through the exact softmax
-                # pipeline on a miss, stored as a float list); the
-                # draw itself still happens per decision — one
-                # uniform from the selection stream inverted with a
-                # right-bisect, exactly sample_index's consumption.
-                key = tuple([score_row[g] for g in holders])
+                key = tuple([score_of[g] for g in holders])
                 cdf = cdf_cache.get(key)
                 if cdf is None:
                     cdf = eng._provider_policy.cdf_from_scores(
                         np.array(key, dtype=np.float64)
                     ).tolist()
-                    if len(cdf_cache) >= cdf_cache_max:
+                    if len(cdf_cache) >= eng._cdf_cache_max:
                         cdf_cache.clear()
                     cdf_cache[key] = cdf
-                pick = bisect_right(cdf, sel_rand())
+                pick = bisect_right(cdf, eng._rng_sel.random())
             if eng._request_chunk(probe, holders[pick], chunk, t):
                 slots -= 1
 
-    def schedule_requests_soa(self, probe, t, lookahead, partners, slots) -> None:
-        """The same newest-first selection against the shared arrays.
+    def _schedule_wide(self, probe, t, lookahead, ctx, slots) -> None:
+        """The wide-set kernel: one availability matrix per tick.
 
-        One availability-matrix build replaces the per-chunk per-partner
-        threshold scans (the object path's dominant cost); the decision
-        loop then walks precomputed boolean rows.  Holder order stays the
-        ascending partner-column order of the object scan, empty candidate
-        sets are skipped without touching an RNG, and the provider draw is
-        the identical explore/CDF code — byte-identical traces.
+        Walks the matrix's advertised (chunk, partner) pairs instead of
+        every partner of every chunk.
         """
-        if not lookahead:
-            return
         eng = self._engine
         soa = eng._soa
-        ctx = eng._soa_partner_ctx(probe.pi, partners)
         # The tick scan's own array is reused when the engine hands its
         # hole list straight through (identity ⇒ same scan, same order);
         # sliced/custom lookaheads (the push seeding path) convert.
@@ -147,15 +145,14 @@ class MeshPullScheduler(ChunkScheduler):
         else:
             chunks_arr = np.asarray(lookahead, dtype=np.int64)
         # The hole list is newest-first, so its ends bound the range.
-        A = eng._soa_availability(
+        A = eng._availability(
             ctx, chunks_arr, t, cmin=lookahead[-1], cmax=lookahead[0]
         )
-        # Chunks nobody advertises are skipped without a draw in the
-        # object loop, and silent columns never become holders — so the
-        # decision loop only needs the advertised (chunk, partner) pairs.
-        # Permuting A's columns into plan order first makes the flat
-        # ``nonzero`` walk visit each row's advertisers in plan order —
-        # exactly the object scan's holder order.  Each row's holders are
+        # Chunks nobody advertises are skipped without a draw, and silent
+        # columns never become holders — so the decision loop only needs
+        # the advertised (chunk, partner) pairs.  Permuting A's columns
+        # into plan order first makes the flat ``nonzero`` walk visit each
+        # row's advertisers in plan order.  Each row's holders are
         # then one C-level slice of the flat partner list: the per-pair
         # busy check reduces to subtracting ``busy_over`` (the providers
         # at the pipelining cap — almost always empty), which is the same
@@ -170,7 +167,7 @@ class MeshPullScheduler(ChunkScheduler):
         busy_over = probe.busy_over
         # Provider scores in plan-column order (the context carries them:
         # a row gather when eager, subset-scored when lazy — identical
-        # doubles, so the bytes-keyed CDF memo sees identical keys).
+        # doubles, so the CDF memo sees identical keys).
         plan_scores = ctx["plan_scores"]
         score_of = ctx["score_of"]
         cdf_cache = eng._cdf_cache
@@ -199,8 +196,8 @@ class MeshPullScheduler(ChunkScheduler):
             else:
                 # One vectorised score gather replaces the per-holder
                 # list walk; the CDF memo keys on the scores' IEEE bytes
-                # — the same distinctions the object path's score-tuple
-                # key draws, producing bit-identical CDF lists.
+                # — the same distinctions a score-tuple key draws, so
+                # the CDF lists are bit-identical.
                 if holders is None:
                     scores = plan_scores[cj[s0:s1]]
                 else:

@@ -42,55 +42,33 @@ class RarestFirstScheduler(ChunkScheduler):
         )
 
     def schedule_requests(self, probe, t, lookahead, partners, slots) -> None:
-        eng = self._engine
-        ctx = eng._partner_context(probe.gidx - eng.n_remote, partners)
-        busy = probe.busy
-        cap = eng._cap_out
-        # Buffer-map pass: advertised availability of every missing chunk.
-        advertisers = {c: self._advertised(probe, t, c, ctx) for c in lookahead}
-        counts = {c: len(a) for c, a in advertisers.items()}
-        attempts = 0
-        max_attempts = eng._max_attempts
-        for chunk in self.order_candidates(lookahead, counts):
-            if slots <= 0 or attempts >= max_attempts:
-                break
-            attempts += 1
-            holders = [g for g in advertisers[chunk] if busy[g] < cap]
-            if not holders:
-                continue  # every advertiser is pipeline-capped this tick
-            pick = self._pick_holder(probe, holders, ctx[6])
-            if eng._request_chunk(probe, holders[pick], chunk, t):
-                slots -= 1
-
-    def schedule_requests_soa(self, probe, t, lookahead, partners, slots) -> None:
         """Rarest-first against the shared arrays.
 
-        The buffer-map pass becomes one availability-matrix build; the
+        The buffer-map pass is one availability-matrix build; the
         advertiser counts are its row sums, and the ``(count, chunk)``
         rarity order is a lexsort over them — the same unique sort keys as
-        ``order_candidates``, so the same order.  Attempt accounting and
-        the per-turn busy filter match the object loop exactly (advertiser
-        counts ignore pipelining caps; the caps apply when a chunk's turn
-        comes, against the busy state *at that moment*).
+        ``order_candidates``, so the same order.  Every candidate chunk
+        consumes an attempt; advertiser counts ignore pipelining caps, and
+        the caps apply when a chunk's turn comes, against the busy state
+        *at that moment*.
         """
         if not lookahead:
             return
         eng = self._engine
         soa = eng._soa
-        ctx = eng._soa_partner_ctx(probe.pi, partners)
+        ctx = eng._partner_ctx(probe.pi, partners)
         if lookahead is soa.scan_list:
             chunks_arr = soa.scan_arr
         else:
             chunks_arr = np.asarray(lookahead, dtype=np.int64)
-        A = eng._soa_availability(
+        A = eng._availability(
             ctx, chunks_arr, t, cmin=lookahead[-1], cmax=lookahead[0]
         )
         # One flat nonzero over the plan-order column permutation yields
         # both the advertiser counts (bincount over the row ids — the
         # same integers ``A.sum(axis=1)`` gives) and the advertised
         # pairs; grouping the pairs by row keeps each chunk's advertisers
-        # in the plan order the object scan produced, without walking
-        # silent columns.
+        # in plan order, without walking silent columns.
         ri, cj = A[:, ctx["plan_cols"]].nonzero()
         if ri.size == 0:
             return
@@ -115,6 +93,6 @@ class RarestFirstScheduler(ChunkScheduler):
                 holders = gs_all[s0:s1]
             if not holders:
                 continue  # every advertiser is pipeline-capped this tick
-            pick = self._pick_holder(probe, holders, ctx["score_of"])
+            pick = self._pick_holder(holders, ctx["score_of"])
             if eng._request_chunk(probe, holders[pick], chunks_list[i], t):
                 slots -= 1

@@ -55,9 +55,6 @@ class TraceBundle:
             "seed": result.config.seed,
             "swarm_size": result.profile.swarm_size,
             "scheduler": getattr(result.profile, "scheduler", "mesh-pull"),
-            "engine": (getattr(result, "extras", None) or {}).get(
-                "engine_mode", "object"
-            ),
             "events": result.events_processed,
             # The synthetic Internet is a pure function of its seed; storing
             # it lets analysis rebuild the exact path model (for TTLs).

@@ -23,16 +23,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             CampaignConfig(scale=-1)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CampaignConfig(engine="aos")
-
-    def test_engine_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "soa")
-        assert CampaignConfig().engine == "soa"
-        monkeypatch.delenv("REPRO_ENGINE")
-        assert CampaignConfig().engine == "object"
-
 
 class TestRun:
     def test_runs_every_app(self, campaign_small):

@@ -7,6 +7,7 @@ import repro.experiments.campaign as campaign_mod
 from repro.errors import SimulationError
 from repro.experiments.campaign import CampaignConfig, run_campaign
 from repro.faults.plan import ImpairmentPlan
+from repro.trace.store import load_trace_bundle, save_trace_bundle
 
 SMALL = dict(duration_s=20.0, seed=3, scale=0.4)
 
@@ -89,6 +90,42 @@ class TestCheckpointResume:
             first["tvants"].report["BW"].download.B
             == second["tvants"].report["BW"].download.B
         )
+
+    @pytest.mark.parametrize("core", ["object", "soa"])
+    def test_bundle_from_either_retired_core_resumes(self, tmp_path, monkeypatch, core):
+        """Checkpoints written while the engine had two cores carry an
+        ``engine`` meta key.  It no longer decides anything: such a bundle
+        resumes without re-simulating and yields the same analysis."""
+        cfg = CampaignConfig(apps=("tvants",), checkpoint_dir=str(tmp_path), **SMALL)
+        fresh = run_campaign(cfg)
+        path = tmp_path / "tvants.npz"
+        bundle = load_trace_bundle(path)
+        assert "engine" not in bundle.meta
+        bundle.meta["engine"] = core
+        save_trace_bundle(path, bundle)
+
+        calls = []
+        real = campaign_mod.simulate
+
+        def counting(profile, **kwargs):
+            calls.append(profile.name)
+            return real(profile, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "simulate", counting)
+        resumed = run_campaign(cfg, backend="serial")
+        assert calls == [] and resumed.failures == []
+        assert resumed["tvants"].from_checkpoint
+
+        def scores(campaign):
+            report = campaign["tvants"].report
+            return [
+                getattr(getattr(report[m], d), v)
+                for m in report.metric_names
+                for d in ("download", "upload")
+                for v in ("B", "P", "B_prime", "P_prime")
+            ]
+
+        assert np.array_equal(scores(fresh), scores(resumed), equal_nan=True)
 
     def test_failed_app_resumes_only_the_missing_run(self, tmp_path, monkeypatch):
         cfg = CampaignConfig(

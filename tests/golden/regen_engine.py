@@ -15,12 +15,13 @@ regenerate when the behaviour change is intentional:
     PYTHONPATH=src python tests/golden/regen_engine.py
 
 ``object_reference_hashes.json`` (``--object-reference``) holds the
-digests of the cases the engine once checked against a second, object-
-based engine core: a seeded randomized app × scheduler sweep, the
-napa-scale feature set mid-scale (alias discovery under reseeds, both
-tick schedules) and the lazy peer-state counters.  The fixture was
-recorded by that retired core, so each case keeps an independent
-reference; the same never-in-an-engine-PR rule applies to it.
+digests of the cases the engine was once checked against a second,
+object-based engine core with: a seeded randomized app × scheduler
+sweep, the napa-scale feature set mid-scale (alias discovery under
+reseeds, both tick schedules) and the lazy peer-state counters.  The
+fixture was recorded by that retired core, so each case keeps an
+independent reference; the same never-in-an-engine-PR rule applies to
+it (regenerating now records the current engine's output).
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def full_digests(result) -> dict:
     }
 
 
-def run_random_case(case: tuple, **kw):
+def run_random_case(case: tuple):
     from dataclasses import replace
 
     from repro.streaming.engine import EngineConfig, simulate
@@ -113,10 +114,10 @@ def run_random_case(case: tuple, **kw):
     app, scheduler, seed, duration_s, scale = case
     profile = replace(get_profile(app).scaled(scale), scheduler=scheduler)
     config = EngineConfig(duration_s=duration_s, seed=seed)
-    return simulate(profile, engine_config=config, **kw)
+    return simulate(profile, engine_config=config)
 
 
-def run_napa_case(name: str, **kw):
+def run_napa_case(name: str):
     from dataclasses import replace
 
     from repro.streaming.engine import simulate
@@ -124,18 +125,18 @@ def run_napa_case(name: str, **kw):
 
     size, seed, duration_s, overrides = NAPA_REFERENCE_CASES[name]
     profile = replace(get_profile("napa-scale").scaled_swarm(size), **overrides)
-    return simulate(profile, seed=seed, duration_s=duration_s, **kw)
+    return simulate(profile, seed=seed, duration_s=duration_s)
 
 
-def compute_object_reference(**kw) -> dict:
+def compute_object_reference() -> dict:
     randomized = {
-        random_case_key(case): full_digests(run_random_case(case, **kw))
+        random_case_key(case): full_digests(run_random_case(case))
         for case in random_cases()
     }
     napa = {}
     lazy_stats = {}
     for name in NAPA_REFERENCE_CASES:
-        result = run_napa_case(name, **kw)
+        result = run_napa_case(name)
         napa[name] = full_digests(result)
         if "lazy" in result.extras["engine_stats"]:
             lazy_stats[name] = result.extras["engine_stats"]["lazy"]
@@ -208,7 +209,7 @@ def regenerate_schedulers() -> pathlib.Path:
 
 def regenerate_object_reference() -> pathlib.Path:
     OBJECT_REFERENCE_PATH.write_text(
-        json.dumps(compute_object_reference(engine="object"), indent=2, sort_keys=True)
+        json.dumps(compute_object_reference(), indent=2, sort_keys=True)
         + "\n"
     )
     return OBJECT_REFERENCE_PATH

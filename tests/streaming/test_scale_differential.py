@@ -1,20 +1,22 @@
-"""Paper-scale differential suite: representation and engine invariance.
+"""Paper-scale differential suite: representation and reference invariance.
 
-Two independence claims make the napa-scale profile trustworthy:
+Two claims make the napa-scale profile trustworthy:
 
 * **Representation independence** — a :class:`SparseSwarm` and its own
   ``peers()`` object view describe the same population, so an engine fed
   either must emit byte-identical traces.  This is the sparse ≡ dense
   contract at a size where the object directory is still affordable.
-* **Engine independence** — under the full napa-scale feature set
+* **Reference agreement** — under the full napa-scale feature set
   (sparse columns, cross-swarm audience, alias-sampled discovery, cohort
-  ticking, the 1 Mbps HD channel) the object and SoA cores must stay
-  byte-identical, mid-scale, for every digest the goldens pin.
+  ticking, the 1 Mbps HD channel) the engine reproduces, mid-scale, every
+  digest the retired object core recorded for the same runs
+  (``tests/golden/object_reference_hashes.json``).
 
 Both are checked through full digests: transfer rows, signaling rows,
 host rows, total events processed and the per-kind dispatch counters.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -23,12 +25,18 @@ from repro.errors import ConfigurationError
 from repro.population.demographics import crossswarm_audience
 from repro.population.sparse import SparseSwarmConfig, generate_sparse_swarm
 from repro.streaming.engine import EngineConfig, simulate
+from repro.streaming.engine import Engine
 from repro.streaming.profiles import get_profile
-from repro.streaming.soa import get_engine
 from repro.topology.testbed import build_napa_wine_testbed
 from repro.config import RngBundle
 from repro.topology.world import World
 from repro.trace.store import trace_digest
+
+from tests.golden.regen_engine import (
+    OBJECT_REFERENCE_PATH,
+    full_digests,
+    run_napa_case,
+)
 
 
 def _digest(res):
@@ -45,7 +53,12 @@ def _napa(size):
     return get_profile("napa-scale").scaled_swarm(size)
 
 
-def _run_with_population(profile, representation, *, engine, seed, duration_s):
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(OBJECT_REFERENCE_PATH.read_text())
+
+
+def _run_with_population(profile, representation, *, seed, duration_s):
     """Simulate with the population passed as columns or as objects.
 
     Rebuilds :func:`simulate`'s plumbing with the population step made
@@ -63,18 +76,16 @@ def _run_with_population(profile, representation, *, engine, seed, duration_s):
         RngBundle(seed)["population"],
     )
     population = swarm if representation == "sparse" else swarm.peers()
-    cls = get_engine(engine)
     config = EngineConfig(duration_s=duration_s, seed=seed)
-    return cls(world, testbed, profile, population, config).run()
+    return Engine(world, testbed, profile, population, config).run()
 
 
 class TestRepresentationIndependence:
     """SparseSwarm columns ≡ its RemotePeer view, byte for byte."""
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_sparse_equals_dense_small_n(self, engine):
+    def test_sparse_equals_dense_small_n(self):
         profile = _napa(800)
-        kw = dict(engine=engine, seed=7, duration_s=60.0)
+        kw = dict(seed=7, duration_s=60.0)
         sparse = _digest(_run_with_population(profile, "sparse", **kw))
         dense = _digest(_run_with_population(profile, "dense", **kw))
         assert sparse == dense
@@ -95,32 +106,26 @@ class TestRepresentationIndependence:
 
 
 class TestEngineIndependenceAtScale:
-    """Object ≡ SoA under the full napa-scale feature set, mid-scale."""
+    """The engine ≡ the object-core reference under the full napa-scale
+    feature set, mid-scale."""
 
-    def test_napa_scale_mid_swarm_byte_identity(self):
-        profile = _napa(2500)
-        a = _digest(simulate(profile, seed=7, duration_s=90.0, engine="object"))
-        b = _digest(simulate(profile, seed=7, duration_s=90.0, engine="soa"))
-        assert a == b
+    def test_napa_scale_mid_swarm_byte_identity(self, reference):
+        name = "napa-mid-2500"
+        assert full_digests(run_napa_case(name)) == reference["napa"][name]
 
-    def test_napa_scale_alias_discovery_survives_reseed(self):
-        profile = _napa(1200)
-        for seed in (3, 19):
-            a = _digest(simulate(profile, seed=seed, duration_s=45.0, engine="object"))
-            b = _digest(simulate(profile, seed=seed, duration_s=45.0, engine="soa"))
-            assert a == b, seed
+    def test_napa_scale_alias_discovery_survives_reseed(self, reference):
+        for name in ("napa-alias-1200-seed3", "napa-alias-1200-seed19"):
+            assert full_digests(run_napa_case(name)) == reference["napa"][name], name
 
     @pytest.mark.parametrize("cohort", [True, False])
-    def test_engines_agree_under_either_tick_schedule(self, cohort):
+    def test_engines_agree_under_either_tick_schedule(self, cohort, reference):
         """Cohort ticking changes *when* probes tick (one shared clock vs
-        staggered offsets) — a profile-level behaviour both cores must
-        reproduce identically.  The SoA core's multi-probe batching only
-        exists under the cohort schedule, so the ``False`` leg pins the
-        fallback path too."""
-        profile = replace(_napa(1200), tick_cohort=cohort)
-        a = _digest(simulate(profile, seed=7, duration_s=45.0, engine="object"))
-        b = _digest(simulate(profile, seed=7, duration_s=45.0, engine="soa"))
-        assert a == b
+        staggered offsets) — a profile-level behaviour the engine must
+        reproduce exactly.  The multi-probe batching only exists under
+        the cohort schedule, so the ``False`` leg pins the per-probe tick
+        path too."""
+        name = "napa-cohort-1200" if cohort else "napa-staggered-1200"
+        assert full_digests(run_napa_case(name)) == reference["napa"][name]
 
 
 class TestLazyPeerState:
@@ -129,42 +134,37 @@ class TestLazyPeerState:
     The mega-scale kernels (on-demand score rows, first-contact busy and
     latency state, blockwise availability) must compute the very same
     IEEE doubles the eager path precomputes up front — checked at test
-    scale across both engine cores and both population representations,
-    including the mega-scale profile's own configuration resized down.
+    scale across both population representations, including the
+    mega-scale profile's own configuration resized down.
     """
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_lazy_equals_eager_both_engines(self, engine):
+    def test_lazy_equals_eager(self):
         base = _napa(1200)
-        kw = dict(seed=7, duration_s=45.0, engine=engine)
+        kw = dict(seed=7, duration_s=45.0)
         a = _digest(simulate(replace(base, peer_state="eager"), **kw))
         b = _digest(simulate(replace(base, peer_state="lazy"), **kw))
         assert a == b
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_mega_scale_config_matches_eager_at_test_scale(self, engine):
+    def test_mega_scale_config_matches_eager_at_test_scale(self):
         lazy = get_profile("mega-scale").scaled_swarm(2500)
         assert lazy.peer_state == "lazy"
-        kw = dict(seed=7, duration_s=60.0, engine=engine)
+        kw = dict(seed=7, duration_s=60.0)
         a = _digest(simulate(lazy, **kw))
         b = _digest(simulate(replace(lazy, peer_state="eager"), **kw))
         assert a == b
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_lazy_sparse_equals_dense(self, engine):
+    def test_lazy_sparse_equals_dense(self):
         profile = replace(_napa(800), peer_state="lazy")
-        kw = dict(engine=engine, seed=7, duration_s=60.0)
+        kw = dict(seed=7, duration_s=60.0)
         sparse = _digest(_run_with_population(profile, "sparse", **kw))
         dense = _digest(_run_with_population(profile, "dense", **kw))
         assert sparse == dense
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_lazy_stats_report_touched_subsets(self, engine):
+    def test_lazy_stats_report_touched_subsets(self):
         """The lazy counters expose the point of the whole layer: the
-        resident per-remote state covers a strict subset of the swarm.
-        They count protocol-level contacts, so both cores must agree."""
+        resident per-remote state covers a strict subset of the swarm."""
         profile = replace(_napa(1200), peer_state="lazy")
-        res = simulate(profile, seed=7, duration_s=45.0, engine=engine)
+        res = simulate(profile, seed=7, duration_s=45.0)
         stats = res.extras["engine_stats"]
         assert stats["peer_state"] == "lazy"
         lazy = stats["lazy"]
@@ -173,13 +173,13 @@ class TestLazyPeerState:
         assert 0 < lazy["max_touched_lat"] < n
         assert lazy["score_row_misses"] >= lazy["score_rows_cached"] > 0
 
-    def test_lazy_counters_engine_agnostic(self):
-        profile = replace(_napa(1200), peer_state="lazy")
-        a = simulate(profile, seed=7, duration_s=45.0, engine="object")
-        b = simulate(profile, seed=7, duration_s=45.0, engine="soa")
-        assert (
-            a.extras["engine_stats"]["lazy"] == b.extras["engine_stats"]["lazy"]
-        )
+    def test_lazy_counters_engine_agnostic(self, reference):
+        """The counters count protocol-level contacts, so they match the
+        object core's recorded ones along with the trace digests."""
+        name = "napa-lazy-1200"
+        res = run_napa_case(name)
+        assert res.extras["engine_stats"]["lazy"] == reference["lazy_stats"][name]
+        assert full_digests(res) == reference["napa"][name]
 
 
 class TestScaleValidation:

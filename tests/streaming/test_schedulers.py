@@ -50,7 +50,8 @@ class _RecordingMixin:
     Wraps ``engine._request_chunk`` for the duration of each
     ``schedule_requests`` call (schedulers look the method up dynamically,
     which is the designed test seam) and asserts the universal invariants
-    inline, where the full decision context still exists.
+    inline, where the full decision context still exists.  Buffer and
+    in-flight membership are read from the engine's shared bitmaps.
     """
 
     #: Every instance the engine constructs, newest last (the engine
@@ -71,8 +72,9 @@ class _RecordingMixin:
     def check_request(self, probe, provider: int, chunk: int, t: float) -> None:
         """Per-policy extension point, called before each request."""
 
-    def _recorded_call(self, call, probe, t, lookahead, partners, slots):
+    def schedule_requests(self, probe, t, lookahead, partners, slots):
         eng = self._engine
+        soa = eng._soa
         orig = eng._request_chunk
         holes = list(lookahead)
         hole_set = set(holes)
@@ -81,34 +83,19 @@ class _RecordingMixin:
         def spy(p, provider, chunk, tt):
             assert p is probe
             assert chunk in hole_set, "requested a chunk that is not missing"
-            assert chunk not in p.inflight, "duplicate in-flight request"
-            assert chunk not in p.chunks, "requested a chunk already held"
+            assert not soa.inflight_has(p.pi, chunk), "duplicate in-flight request"
+            assert not soa.has(p.pi, chunk), "requested a chunk already held"
             self.check_request(p, provider, chunk, tt)
             issued.append((provider, chunk))
             return orig(p, provider, chunk, tt)
 
         eng._request_chunk = spy
         try:
-            call(probe, t, holes, partners, slots)
+            super().schedule_requests(probe, t, lookahead, partners, slots)
         finally:
             del eng.__dict__["_request_chunk"]
         if issued:
-            self.ticks.append(
-                (t, probe.gidx, holes, probe.buffer.window_chunks, issued)
-            )
-
-    def schedule_requests(self, probe, t, lookahead, partners, slots):
-        self._recorded_call(
-            super().schedule_requests, probe, t, lookahead, partners, slots
-        )
-
-    def schedule_requests_soa(self, probe, t, lookahead, partners, slots):
-        # The SoA engine routes ticks here; the spy and the inline
-        # invariants run identically (the views answer the membership
-        # asserts), so the recorded trace is representation-independent.
-        self._recorded_call(
-            super().schedule_requests_soa, probe, t, lookahead, partners, slots
-        )
+            self.ticks.append((t, probe.gidx, holes, soa.window_chunks, issued))
 
 
 class RecordingMesh(_RecordingMixin, MeshPullScheduler):
@@ -121,23 +108,30 @@ class RecordingRarest(_RecordingMixin, RarestFirstScheduler):
         self._current_ads = {}
 
     def _snapshot_ads(self, probe, t, lookahead, partners):
-        # The ground-truth buffer map this tick's decisions will see;
-        # _advertised is a pure read (no RNG), so recomputing it here
-        # cannot perturb the run.  Works under both engine cores — the
-        # object-path partner context reads SoA probes through the views.
+        # The ground-truth buffer map this tick's decisions will see,
+        # re-derived here without the engine's availability kernels:
+        # remote partners through the diffusion oracle's scalar
+        # ``has_chunk``, probe partners through their buffer bits.  Both
+        # are pure reads (no RNG), so recomputing them cannot perturb the
+        # run.
         eng = self._engine
-        ctx = eng._partner_context(probe.gidx - eng.n_remote, partners)
+        nr = eng.n_remote
         self._current_ads = {
-            c: set(self._advertised(probe, t, c, ctx)) for c in lookahead
+            c: {
+                g
+                for g in partners.tolist()
+                if (
+                    eng.availability.has_chunk(g, c, t)
+                    if g < nr
+                    else eng._soa.has(g - nr, c)
+                )
+            }
+            for c in lookahead
         }
 
     def schedule_requests(self, probe, t, lookahead, partners, slots):
         self._snapshot_ads(probe, t, lookahead, partners)
         super().schedule_requests(probe, t, lookahead, partners, slots)
-
-    def schedule_requests_soa(self, probe, t, lookahead, partners, slots):
-        self._snapshot_ads(probe, t, lookahead, partners)
-        super().schedule_requests_soa(probe, t, lookahead, partners, slots)
 
     def check_request(self, probe, provider, chunk, t):
         assert provider in self._current_ads.get(chunk, ()), (
@@ -148,8 +142,9 @@ class RecordingRarest(_RecordingMixin, RarestFirstScheduler):
 
 class RecordingEdf(_RecordingMixin, EdfScheduler):
     def check_request(self, probe, provider, chunk, t):
-        interval = self._engine._av_chunk_interval
-        deadline = playout_deadline(chunk, interval, probe.buffer.window_chunks)
+        eng = self._engine
+        interval = eng._av_chunk_interval
+        deadline = playout_deadline(chunk, interval, eng._soa.window_chunks)
         assert deadline > t, (
             f"edf requested chunk {chunk} after its playout deadline "
             f"({deadline:.3f} <= {t:.3f})"
@@ -162,15 +157,16 @@ class RecordingPush(_RecordingMixin, PushEpidemicScheduler):
         self.push_count = 0
 
     def on_chunk_received(self, probe, chunk, provider, t):
-        eng = self._engine
+        soa = self._engine._soa
         before = [
-            (st, chunk in st.inflight, chunk in st.chunks) for st in eng._probes
+            (st, soa.inflight_has(st.pi, chunk), soa.has(st.pi, chunk))
+            for st in self._engine._probes
         ]
         super().on_chunk_received(probe, chunk, provider, t)
         for st, was_inflight, was_held in before:
             if st is probe or was_inflight:
                 continue
-            if chunk in st.inflight:  # newly pushed to this target
+            if soa.inflight_has(st.pi, chunk):  # newly pushed to this target
                 assert not was_held, "pushed a chunk the target already held"
                 self.push_count += 1
 

@@ -1,188 +1,51 @@
-"""SoA-vs-object differential suite: the two engine cores are one engine.
+"""Randomized differential suite against the object-core reference.
 
-The struct-of-arrays core (:mod:`repro.streaming.soa`) re-implements the
-per-probe hot paths against shared numpy arrays; its contract is *byte
-identity* — for any fixed seed both cores must emit the same transfer
-and signaling bytes, process the same number of events, and dispatch the
-same per-kind event counts.  Three layers pin that here:
+The engine once shipped two byte-identical cores; the object core was the
+reference the struct-of-arrays kernels were checked against.  Its digests
+for a seeded randomized sweep (app × scheduler × engine seed × duration ×
+scale) are recorded in ``tests/golden/object_reference_hashes.json`` (see
+``tests/golden/regen_engine.py``), so every case keeps an independent
+reference: the transfer and signaling bytes, the host table, the event
+count and the per-kind dispatch/schedule counters must all match.
 
-* the golden fixtures (produced by the pre-SoA object engine) are
-  replayed under ``engine="soa"`` — all three app profiles and all four
-  chunk schedulers;
-* a randomized sweep (seeded parameter draws: app × scheduler × engine
-  seed × duration × scale) runs both cores and compares full digests
-  plus the dispatch counters;
-* the engine registry itself (unknown names rejected, ``REPRO_ENGINE``
-  honoured, result extras tagged with the mode that actually ran).
-
-See ``docs/engine-internals.md`` for the determinism rules that make
-byte identity possible, and for how to extend this suite.
+See ``docs/engine-internals.md`` for the determinism rules that make byte
+identity possible.
 """
 
 import json
-import random
-from dataclasses import replace
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.streaming.engine import Engine, EngineConfig, simulate
-from repro.streaming.profiles import get_profile
-from repro.streaming.schedulers import SCHEDULER_NAMES
-from repro.streaming.soa import (
-    DEFAULT_ENGINE,
-    ENGINE_NAMES,
-    SoAEngine,
-    default_engine,
-    get_engine,
-)
-from repro.trace.store import trace_digest
-
 from tests.golden.regen_engine import (
-    ENGINE_GOLDEN_APPS,
-    ENGINE_GOLDEN_KWARGS,
-    HASHES_PATH,
-    SCHEDULER_GOLDEN_APP,
-    SCHEDULER_GOLDEN_KWARGS,
-    SCHEDULER_GOLDEN_SCALE,
-    SCHEDULER_HASHES_PATH,
+    OBJECT_REFERENCE_PATH,
+    full_digests,
+    random_case_key,
+    random_cases,
+    run_random_case,
 )
 
 
-def _digests(result) -> dict:
-    """Everything the byte-identity contract covers, as one dict."""
-    stats = result.extras["engine_stats"]
-    return {
-        "transfers": trace_digest(result.transfers),
-        "signaling": trace_digest(result.signaling),
-        "hosts": trace_digest(result.hosts.rows),
-        "events": result.events_processed,
-        "dispatch_by_kind": stats["dispatch_by_kind"],
-        "schedule_by_kind": stats["schedule_by_kind"],
-    }
-
-
-# ----------------------------------------------------- golden fixtures, SoA
 @pytest.fixture(scope="module")
-def golden():
-    return json.loads(HASHES_PATH.read_text())
+def reference():
+    return json.loads(OBJECT_REFERENCE_PATH.read_text())
 
 
-@pytest.fixture(scope="module")
-def scheduler_golden():
-    return json.loads(SCHEDULER_HASHES_PATH.read_text())
-
-
-@pytest.mark.parametrize("app", ENGINE_GOLDEN_APPS)
-def test_soa_matches_engine_golden_hashes(app, golden):
-    """The SoA core reproduces the pre-SoA object engine's bytes per app."""
-    result = simulate(
-        get_profile(app),
-        engine_config=EngineConfig(**ENGINE_GOLDEN_KWARGS),
-        engine="soa",
-    )
-    expected = golden["hashes"][app]
-    actual = {
-        "transfers": trace_digest(result.transfers),
-        "signaling": trace_digest(result.signaling),
-        "hosts": trace_digest(result.hosts.rows),
-        "events": result.events_processed,
-    }
-    assert actual == expected, (
-        f"{app}: the SoA core drifted from the object engine's golden "
-        "hashes — an array kernel perturbed an RNG draw or record order"
-    )
-    assert result.extras["engine_mode"] == "soa"
-
-
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULER_NAMES))
-def test_soa_matches_scheduler_golden_hashes(scheduler, scheduler_golden):
-    """Every chunk-scheduling policy is byte-identical under the SoA core."""
-    profile = replace(
-        get_profile(SCHEDULER_GOLDEN_APP).scaled(SCHEDULER_GOLDEN_SCALE),
-        scheduler=scheduler,
-    )
-    result = simulate(
-        profile,
-        engine_config=EngineConfig(**SCHEDULER_GOLDEN_KWARGS),
-        engine="soa",
-    )
-    expected = scheduler_golden["hashes"][scheduler]
-    actual = {
-        "transfers": trace_digest(result.transfers),
-        "signaling": trace_digest(result.signaling),
-        "hosts": trace_digest(result.hosts.rows),
-        "events": result.events_processed,
-    }
-    assert actual == expected, (
-        f"{scheduler}: the SoA scheduler kernel drifted from the object "
-        "policy's golden hashes"
-    )
-
-
-# ------------------------------------------------------- randomized sweep
-def _random_cases(n: int) -> list[tuple[str, str, int, float, float]]:
-    """Seeded parameter draws — stable across runs, diverse across cases."""
-    rng = random.Random(20260808)
-    cases = []
-    for _ in range(n):
-        cases.append(
-            (
-                rng.choice(ENGINE_GOLDEN_APPS),
-                rng.choice(sorted(SCHEDULER_NAMES)),
-                rng.randrange(1, 10_000),
-                round(rng.uniform(8.0, 14.0), 1),
-                round(rng.uniform(0.35, 0.6), 2),
-            )
-        )
-    return cases
+def test_reference_covers_the_sweep(reference):
+    assert set(reference["randomized"]) == {random_case_key(c) for c in random_cases()}
 
 
 @pytest.mark.parametrize(
     "app,scheduler,seed,duration_s,scale",
-    _random_cases(6),
+    random_cases(),
     ids=lambda v: str(v),
 )
-def test_randomized_soa_object_differential(app, scheduler, seed, duration_s, scale):
-    """Both cores, same seed → same bytes, same events, same dispatches."""
-    profile = replace(get_profile(app).scaled(scale), scheduler=scheduler)
-    config = EngineConfig(duration_s=duration_s, seed=seed)
-    obj = simulate(profile, engine_config=config, engine="object")
-    soa = simulate(profile, engine_config=config, engine="soa")
-    assert _digests(soa) == _digests(obj), (
-        f"{app}/{scheduler} seed={seed}: the SoA core diverged from the "
-        "object engine"
+def test_randomized_soa_object_differential(
+    app, scheduler, seed, duration_s, scale, reference
+):
+    """Same seed → the object core's bytes, events and dispatches."""
+    case = (app, scheduler, seed, duration_s, scale)
+    expected = reference["randomized"][random_case_key(case)]
+    assert full_digests(run_random_case(case)) == expected, (
+        f"{app}/{scheduler} seed={seed}: the engine diverged from the "
+        "object-core reference"
     )
-    assert obj.extras["engine_mode"] == "object"
-    assert soa.extras["engine_mode"] == "soa"
-
-
-# -------------------------------------------------------- engine registry
-class TestEngineRegistry:
-    def test_registry_names(self):
-        assert ENGINE_NAMES == ("object", "soa")
-        assert DEFAULT_ENGINE == "object"
-
-    def test_get_engine_resolves_classes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert get_engine("object") is Engine
-        assert get_engine("soa") is SoAEngine
-        assert get_engine(None) is Engine  # default, no env override
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_engine("aos")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "soa")
-        assert default_engine() == "soa"
-        assert get_engine(None) is SoAEngine
-
-    def test_env_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vliw")
-        with pytest.raises(ConfigurationError):
-            get_engine(None)
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "soa")
-        assert get_engine("object") is Engine

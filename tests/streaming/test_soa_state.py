@@ -4,15 +4,15 @@ The shared bitmaps address chunk ``c`` of probe ``pi`` at column
 ``c - base[pi]``; these tests pin the mapping and every way it moves —
 eviction wipes, base shifts (with the low-set rescue of late arrivals),
 the shared widen under churn backlogs, and the always-False guard
-columns the availability gather clamps into.  The byte-identity proof
-lives in ``test_soa_differential.py``; this file covers the state
-machine underneath it in isolation.
+columns the availability gather clamps into.  The trace-level checks
+live in ``test_determinism_golden.py`` and ``test_soa_differential.py``;
+this file covers the state machine underneath them in isolation.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.streaming.soa import _GUARD, SoAState, _ChunkSetView, _InflightView
+from repro.streaming.soa import _GUARD, SoAState
 
 
 @pytest.fixture
@@ -35,8 +35,7 @@ class TestSlotMapping:
         assert soa.have[0, 5]  # slot == chunk while base == 0
 
     def test_mapping_follows_the_base(self, soa):
-        soa.base[1] = 40
-        soa.base_arr[1] = 40
+        soa._set_base(1, 40)
         soa.have_add(1, 47)
         assert soa.have[1, 7]
         assert soa.has(1, 47)
@@ -44,8 +43,8 @@ class TestSlotMapping:
     def test_idempotent_add(self, soa):
         soa.have_add(0, 9)
         soa.have_add(0, 9)
-        view = _ChunkSetView(soa, 0)
-        assert len(view) == 1 and list(view) == [9]
+        assert soa.has(0, 9)
+        assert soa.have[0].nonzero()[0].tolist() == [9]
 
     def test_inflight_counts(self, soa):
         soa.inflight_add(0, 3)
@@ -58,14 +57,12 @@ class TestSlotMapping:
         assert soa.inflight_has(0, 4) and not soa.inflight_has(0, 3)
 
     def test_inflight_below_base_is_an_invariant_break(self, soa):
-        soa.base[0] = 10
-        soa.base_arr[0] = 10
+        soa._set_base(0, 10)
         with pytest.raises(SimulationError):
             soa.inflight_add(0, 9)
 
     def test_late_arrival_below_base_parks_in_low(self, soa):
-        soa.base[2] = 20
-        soa.base_arr[2] = 20
+        soa._set_base(2, 20)
         soa.have_add(2, 15)
         assert soa.has(2, 15)
         assert 15 in soa.low[2]
@@ -100,8 +97,7 @@ class TestTickScan:
         assert soa.inflight_n[0] == 0  # pruned in-flight adjusts the count
 
     def test_eviction_drops_stale_low_entries(self, soa):
-        soa.base[0] = 30
-        soa.base_arr[0] = 30
+        soa._set_base(0, 30)
         soa.have_add(0, 10)  # parks in low
         soa.tick_scan(0, t=40.0, live_lag=0, limit=None)  # floor 33
         assert 10 not in soa.low[0]
@@ -145,20 +141,18 @@ class TestMakeRoom:
         assert not soa.have[:, soa.capacity :].any()
         assert not soa.inflight[:, soa.capacity :].any()
 
-
-class TestViews:
-    def test_chunk_set_view_iterates_low_then_row(self, soa):
-        soa.base[0] = 10
-        soa.base_arr[0] = 10
-        soa.have_add(0, 4)  # low
-        soa.have_add(0, 12)
-        soa.have_add(0, 11)
-        view = _ChunkSetView(soa, 0)
-        assert list(view) == [4, 11, 12]
-        assert len(view) == 3 and bool(view)
-        assert 12 in view and 13 not in view
-
-    def test_inflight_view_membership(self, soa):
-        soa.inflight_add(0, 6)
-        view = _InflightView(soa, 0)
-        assert 6 in view and 7 not in view
+    def test_byte_buffers_back_the_matrices(self, soa):
+        """The flat buffers and the numpy matrices are one memory block,
+        before and after a widen, and ``row_off``/``row_top`` address it."""
+        soa.have_add(1, 7)
+        soa.have_add(0, 200)  # widen: fresh buffers for every row
+        soa.tick_scan(0, t=250.0, live_lag=0, limit=None)
+        soa.have_add(0, 300)  # shift row 0
+        soa.inflight_add(2, 9)
+        for buf, mat in ((soa.have_buf, soa.have), (soa.infl_buf, soa.inflight)):
+            assert bytes(buf) == mat.tobytes()
+        for pi, chunk in ((1, 7), (0, 300)):
+            assert soa.have_buf[soa.row_off[pi] + chunk] == 1
+            assert soa.base[pi] <= chunk < soa.row_top[pi]
+        assert soa.infl_buf[soa.row_off[2] + 9] == 1
+        assert soa.row_top == [b + soa.capacity for b in soa.base]
