@@ -16,9 +16,11 @@ regenerate when the behaviour change is intentional:
 
 ``object_reference_hashes.json`` (``--object-reference``) holds the
 digests of the cases the engine was once checked against a second,
-object-based engine core with: a seeded randomized app × scheduler
-sweep, the napa-scale feature set mid-scale (alias discovery under
-reseeds, both tick schedules) and the lazy peer-state counters.  The
+object-based engine core with: the golden per-app and per-scheduler
+runs (with their dispatch/schedule counters), a seeded randomized
+app × scheduler sweep, the napa-scale feature set mid-scale (alias
+discovery under reseeds, both tick schedules, eager and lazy peer
+state) and the lazy peer-state counters.  The
 fixture was recorded by that retired core, so each case keeps an
 independent reference; the same never-in-an-engine-PR rule applies to
 it (regenerating now records the current engine's output).
@@ -63,6 +65,8 @@ NAPA_REFERENCE_CASES = {
     "napa-cohort-1200": (1200, 7, 45.0, {"tick_cohort": True}),
     "napa-staggered-1200": (1200, 7, 45.0, {"tick_cohort": False}),
     "napa-lazy-1200": (1200, 7, 45.0, {"peer_state": "lazy"}),
+    "napa-eager-1200": (1200, 7, 45.0, {"peer_state": "eager"}),
+    "napa-lazy-800": (800, 7, 60.0, {"peer_state": "lazy"}),
 }
 
 
@@ -105,6 +109,30 @@ def full_digests(result) -> dict:
     }
 
 
+def run_engine_golden(app: str):
+    """The golden per-application run of ``engine_trace_hashes.json``."""
+    from repro.streaming.engine import EngineConfig, simulate
+    from repro.streaming.profiles import get_profile
+
+    return simulate(
+        get_profile(app), engine_config=EngineConfig(**ENGINE_GOLDEN_KWARGS)
+    )
+
+
+def run_scheduler_golden(name: str):
+    """The golden per-policy run of ``scheduler_trace_hashes.json``."""
+    from dataclasses import replace
+
+    from repro.streaming.engine import EngineConfig, simulate
+    from repro.streaming.profiles import get_profile
+
+    profile = replace(
+        get_profile(SCHEDULER_GOLDEN_APP).scaled(SCHEDULER_GOLDEN_SCALE),
+        scheduler=name,
+    )
+    return simulate(profile, engine_config=EngineConfig(**SCHEDULER_GOLDEN_KWARGS))
+
+
 def run_random_case(case: tuple):
     from dataclasses import replace
 
@@ -129,6 +157,14 @@ def run_napa_case(name: str):
 
 
 def compute_object_reference() -> dict:
+    from repro.streaming.schedulers import SCHEDULER_NAMES
+
+    engine_golden = {
+        app: full_digests(run_engine_golden(app)) for app in ENGINE_GOLDEN_APPS
+    }
+    scheduler_golden = {
+        name: full_digests(run_scheduler_golden(name)) for name in SCHEDULER_NAMES
+    }
     randomized = {
         random_case_key(case): full_digests(run_random_case(case))
         for case in random_cases()
@@ -141,6 +177,8 @@ def compute_object_reference() -> dict:
         if "lazy" in result.extras["engine_stats"]:
             lazy_stats[name] = result.extras["engine_stats"]["lazy"]
     return {
+        "engine_golden": engine_golden,
+        "scheduler_golden": scheduler_golden,
         "randomized": randomized,
         "napa": napa,
         "lazy_stats": lazy_stats,
@@ -148,15 +186,11 @@ def compute_object_reference() -> dict:
 
 
 def compute_hashes() -> dict:
-    from repro.streaming.engine import EngineConfig, simulate
-    from repro.streaming.profiles import get_profile
     from repro.trace.store import trace_digest
 
     hashes = {}
     for app in ENGINE_GOLDEN_APPS:
-        result = simulate(
-            get_profile(app), engine_config=EngineConfig(**ENGINE_GOLDEN_KWARGS)
-        )
+        result = run_engine_golden(app)
         hashes[app] = {
             "transfers": trace_digest(result.transfers),
             "signaling": trace_digest(result.signaling),
@@ -167,20 +201,12 @@ def compute_hashes() -> dict:
 
 
 def compute_scheduler_hashes() -> dict:
-    from dataclasses import replace
-
-    from repro.streaming.engine import EngineConfig, simulate
-    from repro.streaming.profiles import get_profile
     from repro.streaming.schedulers import SCHEDULER_NAMES
     from repro.trace.store import trace_digest
 
-    base = get_profile(SCHEDULER_GOLDEN_APP).scaled(SCHEDULER_GOLDEN_SCALE)
     hashes = {}
     for name in SCHEDULER_NAMES:
-        result = simulate(
-            replace(base, scheduler=name),
-            engine_config=EngineConfig(**SCHEDULER_GOLDEN_KWARGS),
-        )
+        result = run_scheduler_golden(name)
         hashes[name] = {
             "transfers": trace_digest(result.transfers),
             "signaling": trace_digest(result.signaling),

@@ -10,7 +10,8 @@ Two claims make the napa-scale profile trustworthy:
   (sparse columns, cross-swarm audience, alias-sampled discovery, cohort
   ticking, the 1 Mbps HD channel) the engine reproduces, mid-scale, every
   digest the retired object core recorded for the same runs
-  (``tests/golden/object_reference_hashes.json``).
+  (``tests/golden/object_reference_hashes.json``), lazy peer state
+  included.
 
 Both are checked through full digests: transfer rows, signaling rows,
 host rows, total events processed and the per-kind dispatch counters.
@@ -33,6 +34,7 @@ from repro.topology.world import World
 from repro.trace.store import trace_digest
 
 from tests.golden.regen_engine import (
+    NAPA_REFERENCE_CASES,
     OBJECT_REFERENCE_PATH,
     full_digests,
     run_napa_case,
@@ -136,14 +138,21 @@ class TestLazyPeerState:
     IEEE doubles the eager path precomputes up front — checked at test
     scale across both population representations, including the
     mega-scale profile's own configuration resized down.
+
+    The ``core`` parameter names where the reference side of a comparison
+    comes from: ``"object"`` is the retired object core's recorded run
+    (``tests/golden/object_reference_hashes.json``), ``"soa"`` a live run
+    of the engine, the former struct-of-arrays core.
     """
 
-    def test_lazy_equals_eager(self):
-        base = _napa(1200)
-        kw = dict(seed=7, duration_s=45.0)
-        a = _digest(simulate(replace(base, peer_state="eager"), **kw))
-        b = _digest(simulate(replace(base, peer_state="lazy"), **kw))
-        assert a == b
+    @pytest.mark.parametrize("core", ["object", "soa"])
+    def test_lazy_equals_eager_both_engines(self, core, reference):
+        lazy = full_digests(run_napa_case("napa-lazy-1200"))
+        if core == "object":
+            eager = reference["napa"]["napa-eager-1200"]
+        else:
+            eager = full_digests(run_napa_case("napa-eager-1200"))
+        assert lazy == eager
 
     def test_mega_scale_config_matches_eager_at_test_scale(self):
         lazy = get_profile("mega-scale").scaled_swarm(2500)
@@ -153,22 +162,36 @@ class TestLazyPeerState:
         b = _digest(simulate(replace(lazy, peer_state="eager"), **kw))
         assert a == b
 
-    def test_lazy_sparse_equals_dense(self):
+    @pytest.mark.parametrize("core", ["object", "soa"])
+    def test_lazy_sparse_equals_dense(self, core, reference):
+        """A live run over the object view matches the column run of
+        either core (the recorded ``napa-lazy-800`` case ran on columns)."""
+        assert NAPA_REFERENCE_CASES["napa-lazy-800"] == (
+            800, 7, 60.0, {"peer_state": "lazy"}
+        )
         profile = replace(_napa(800), peer_state="lazy")
         kw = dict(seed=7, duration_s=60.0)
-        sparse = _digest(_run_with_population(profile, "sparse", **kw))
-        dense = _digest(_run_with_population(profile, "dense", **kw))
+        dense = full_digests(_run_with_population(profile, "dense", **kw))
+        if core == "object":
+            sparse = reference["napa"]["napa-lazy-800"]
+        else:
+            sparse = full_digests(_run_with_population(profile, "sparse", **kw))
         assert sparse == dense
 
-    def test_lazy_stats_report_touched_subsets(self):
+    @pytest.mark.parametrize("core", ["object", "soa"])
+    def test_lazy_stats_report_touched_subsets(self, core, reference):
         """The lazy counters expose the point of the whole layer: the
-        resident per-remote state covers a strict subset of the swarm."""
-        profile = replace(_napa(1200), peer_state="lazy")
-        res = simulate(profile, seed=7, duration_s=45.0)
-        stats = res.extras["engine_stats"]
-        assert stats["peer_state"] == "lazy"
-        lazy = stats["lazy"]
-        n = profile.swarm_size
+        resident per-remote state covers a strict subset of the swarm.
+        They count protocol-level contacts, so the property holds for the
+        retired core's recorded counters as for a live run's."""
+        name = "napa-lazy-1200"
+        if core == "object":
+            lazy = reference["lazy_stats"][name]
+        else:
+            stats = run_napa_case(name).extras["engine_stats"]
+            assert stats["peer_state"] == "lazy"
+            lazy = stats["lazy"]
+        n = NAPA_REFERENCE_CASES[name][0]
         assert 0 < lazy["max_touched_busy"] < n
         assert 0 < lazy["max_touched_lat"] < n
         assert lazy["score_row_misses"] >= lazy["score_rows_cached"] > 0
