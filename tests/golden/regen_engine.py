@@ -20,7 +20,8 @@ object-based engine core with: the golden per-app and per-scheduler
 runs (with their dispatch/schedule counters), a seeded randomized
 app × scheduler sweep, the napa-scale feature set mid-scale (alias
 discovery under reseeds, both tick schedules, eager and lazy peer
-state) and the lazy peer-state counters.  The
+state), the mega-scale profile resized to 2500 peers and the lazy
+peer-state counters.  The
 fixture was recorded by that retired core, so each case keeps an
 independent reference; the same never-in-an-engine-PR rule applies to
 it (regenerating now records the current engine's output).
@@ -67,6 +68,7 @@ NAPA_REFERENCE_CASES = {
     "napa-lazy-1200": (1200, 7, 45.0, {"peer_state": "lazy"}),
     "napa-eager-1200": (1200, 7, 45.0, {"peer_state": "eager"}),
     "napa-lazy-800": (800, 7, 60.0, {"peer_state": "lazy"}),
+    "mega-eager-2500": (2500, 7, 60.0, {"name": "mega-scale", "peer_state": "eager"}),
 }
 
 
