@@ -1,7 +1,8 @@
 """Performance benchmarks: the event-queue schedulers in isolation.
 
 Schedule/dispatch throughput of the calendar queue (:class:`EventQueue`)
-against the binary-heap reference (:class:`HeapEventQueue`) it replaced,
+against the binary-heap reference it replaced (:class:`HeapEventQueue`,
+kept in the test suite as the differential oracle),
 on a workload shaped like the engine's: a steady population of periodic
 ticks interleaved with short-horizon one-shot events (chunk arrivals,
 remote pulls).  The summary in ``BENCH_engine.json`` tracks both, so the
@@ -20,9 +21,11 @@ from dataclasses import replace
 import pytest
 
 from repro.streaming.engine import EngineConfig, simulate
-from repro.streaming.events import EventQueue, HeapEventQueue
+from repro.streaming.events import EventQueue
 from repro.streaming.profiles import get_profile
 from repro.streaming.schedulers import SCHEDULER_NAMES
+
+from tests.streaming.heap_queue import HeapEventQueue
 
 #: Workload shape, roughly the tvants engine mix: ~100 periodic sources
 #: ticking at 0.3 s, each tick scheduling ~1.5 one-shot follow-ups that

@@ -50,7 +50,7 @@ DEFAULT_MAX_REGRESSION = 0.20
 
 #: Default tolerated fractional ``peak_rss_mb`` growth.  Wider than the
 #: throughput tolerance: RSS quantises to whole pages and inherits
-#: allocator noise, but a lazy-materialisation regression (score rows or
+#: allocator noise, but a first-contact state regression (score rows or
 #: remote state going resident swarm-wide again) multiplies it — far
 #: outside any plausible jitter.
 DEFAULT_MAX_RSS_REGRESSION = 0.25
@@ -143,8 +143,6 @@ def summarize_benchmark(bench: dict, baseline: dict | None = None) -> dict:
     # paper-scale entries).
     if "swarm" in extra:
         entry["swarm"] = int(extra["swarm"])
-    if "peer_state" in extra:
-        entry["peer_state"] = str(extra["peer_state"])
     if "peak_rss_mb" in extra:
         entry["peak_rss_mb"] = float(extra["peak_rss_mb"])
     if baseline is not None:

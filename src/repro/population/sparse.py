@@ -196,38 +196,6 @@ class AliasTable:
         return np.where(u < self.prob[j], j, self.alias[j])
 
 
-class IndexRemap:
-    """Compact global-id → dense-slot remap for touched-peer state.
-
-    The lazy engine keeps per-remote mutable state (busy counters, latency
-    memos) only for peers a probe has actually contacted.  The remap hands
-    out dense slots in first-contact order, so backing storage grows with
-    the touched set, not the swarm.  Slots are never recycled — a touched
-    peer stays resident for the run, which is exactly the reservoir the
-    heavy-tailed contact distribution needs.
-    """
-
-    __slots__ = ("_slots",)
-
-    def __init__(self) -> None:
-        self._slots: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def slot(self, key: int) -> int | None:
-        """The dense slot for ``key``, or ``None`` if never touched."""
-        return self._slots.get(key)
-
-    def ensure(self, key: int) -> int:
-        """The dense slot for ``key``, allocating the next one on miss."""
-        s = self._slots.get(key)
-        if s is None:
-            s = len(self._slots)
-            self._slots[key] = s
-        return s
-
-
 class ScoreRowCache:
     """LRU of on-demand per-probe score rows under a byte budget.
 

@@ -31,7 +31,6 @@ from repro.population.demographics import (
 )
 from repro.population.generator import PopulationConfig, RemotePeer, generate_population
 from repro.population.sparse import (
-    IndexRemap,
     ScoreRowCache,
     SparseSwarm,
     SparseSwarmConfig,
@@ -91,12 +90,14 @@ _NARROW_PARTNERS = 48
 #: the covered top (amortises the vectorised rebuild over many ticks).
 _THR_SLACK = 256
 
-#: Blockwise availability evaluation (lazy peer-state mode): threshold
+#: Blockwise availability evaluation for the cohort build: threshold
 #: rows are grouped into fixed chunk-id spans of this many rows, built on
 #: first touch and reused across ticks — the thresholds are t-independent
 #: chunk constants, so a cached block is bit-for-bit the rows the per-tick
-#: rebuild would produce.
-_THR_BLOCK = 64
+#: rebuild would produce.  The cache clears whenever the cohort's partner
+#: contexts change, which at paper scale is most ticks, so blocks stay
+#: small: a rebuild computes little more than the hole window itself.
+_THR_BLOCK = 32
 
 #: Eviction budget for the block cache, in blocks.  The live window walks
 #: upward, so the lowest block id is evicted first; an evicted block that
@@ -110,18 +111,11 @@ _THR_BLOCKS_MAX = 8
 #: bit-identically, memory-only effect).
 _CDF_CACHE_MAX = 65_536
 
-#: Byte budget for the lazy engine's LRU of on-demand remote score rows
-#: (one float64 per peer per cached probe).  Large enough that every
+#: Byte budget for the LRU of on-demand remote score rows (one float64
+#: per peer per cached probe).  Large enough that every
 #: probe's row fits resident at 10^6 peers — the budget is the safety
 #: valve for the next decade, not a working limit at this one.
 _SCORE_ROWS_BUDGET = 512 * 1024 * 1024
-
-#: Remote-population size beyond which the O(probes × peers) Python-list
-#: mirror of the latency rows stays numpy: at paper scale
-#: the ``.tolist()`` copies cost hundreds of MB for identical values.
-#: np.float64 hashes, compares and formats equal to the plain float, so
-#: the gate is invisible to traces — it only bounds memory.
-_LIST_MIRROR_MAX = 50_000
 
 #: Oversampling rounds allowed per alias-sampled tracker reply before the
 #: reply is returned short (candidates are rejected when offline, already
@@ -194,77 +188,46 @@ class EngineConfig:
             raise ConfigurationError("rebalance interval must be positive")
 
 
-class _RemapCounts:
-    """Per-provider outstanding-request counters, touched-peers only.
+class _BusyCounts(dict):
+    """Outstanding chunk requests per provider gidx, touched peers only.
 
-    Drop-in for the dense ``busy`` list: reads of never-contacted ids
-    answer 0 without allocating, writes allocate a dense slot through an
-    :class:`~repro.population.sparse.IndexRemap` on first contact.  A
-    probe contacts a few thousand peers over a run, so this replaces an
-    O(swarm) int list per probe with O(touched) state.
+    A never-contacted provider reads 0 without being inserted; the first
+    ``+=`` stores it.  A probe contacts a few thousand peers over a run,
+    so this is O(touched) state, not an O(swarm) list per probe.
     """
 
-    __slots__ = ("_remap", "_vals")
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self._remap = IndexRemap()
-        self._vals: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._vals)
-
-    def __getitem__(self, g: int) -> int:
-        s = self._remap.slot(g)
-        return self._vals[s] if s is not None else 0
-
-    def __setitem__(self, g: int, v: int) -> None:
-        s = self._remap.ensure(g)
-        if s == len(self._vals):
-            self._vals.append(v)
-        else:
-            self._vals[s] = v
+    def __missing__(self, g: int) -> int:
+        return 0
 
 
-class _RemapLatRow:
-    """One probe's latency row, materialised per touched peer.
+class _LatencyRow(dict):
+    """One probe's one-way latency row, materialised per touched peer.
 
-    Computes :func:`_approx_latency` from the static directory columns on
-    first read of each peer and memoises it behind an
-    :class:`~repro.population.sparse.IndexRemap` — the same doubles, in
-    the same subnet → AS → CC precedence, as the eager ``np.where`` row.
+    The first read of peer ``g`` computes :func:`_approx_latency` from the
+    static directory columns (subnet → AS → CC precedence), stores it and
+    returns it; later reads are plain dict hits.
     """
 
-    __slots__ = ("_remap", "_vals", "_subnet", "_asn", "_cc", "_my_subnet", "_my_asn", "_my_cc")
+    __slots__ = ("_subnet", "_asn", "_cc", "_gidx")
 
     def __init__(
         self, subnet: np.ndarray, asn: np.ndarray, cc: np.ndarray, gidx: int
     ) -> None:
-        self._remap = IndexRemap()
-        self._vals: list[float] = []
+        super().__init__()
         self._subnet = subnet
         self._asn = asn
         self._cc = cc
-        self._my_subnet = int(subnet[gidx])
-        self._my_asn = int(asn[gidx])
-        self._my_cc = int(cc[gidx])
+        self._gidx = gidx
 
-    def __len__(self) -> int:
-        return len(self._vals)
-
-    def __getitem__(self, g: int) -> float:
-        s = self._remap.slot(g)
-        if s is not None:
-            return self._vals[s]
-        if self._subnet[g] == self._my_subnet:
-            v = 0.001
-        elif self._asn[g] == self._my_asn:
-            v = 0.005
-        elif self._cc[g] == self._my_cc:
-            v = 0.02
-        else:
-            v = 0.08
-        self._remap.ensure(g)
-        self._vals.append(v)
+    def __missing__(self, g: int) -> float:
+        me = self._gidx
+        v = self[g] = _approx_latency(
+            self._subnet[g] == self._subnet[me],
+            self._asn[g] == self._asn[me],
+            self._cc[g] == self._cc[me],
+        )
         return v
 
 
@@ -281,8 +244,8 @@ class _PeerState:
 
     Buffer and in-flight state live in the engine's shared
     :class:`~repro.streaming.soa.SoAState` bitmaps; ``pi`` (the probe
-    index, ``gidx - n_remote``) is this probe's row there and in every
-    per-probe score matrix.
+    index, ``gidx - n_remote``) is this probe's row there and its key in
+    the engine's score-row cache.
     """
 
     __slots__ = (
@@ -302,7 +265,7 @@ class _PeerState:
         "_filt_src",
     )
 
-    def __init__(self, gidx: int, pi: int, n_peers: int, lazy: bool = False) -> None:
+    def __init__(self, gidx: int, pi: int, n_peers: int, lat_row: _LatencyRow) -> None:
         self.gidx = gidx
         self.pi = pi
         self.known: set[int] = set()
@@ -311,15 +274,10 @@ class _PeerState:
         self.known_mask: np.ndarray = np.zeros(n_peers, dtype=bool)
         self.partners: set[int] = set()
         self.partners_arr: np.ndarray = np.zeros(0, dtype=np.int64)
-        #: This probe's one-way latency row (filled in by the engine once
-        #: the latency model is built; static thereafter).
-        self.lat_row: list[float] = []
+        #: This probe's one-way latency row (touched peers only).
+        self.lat_row = lat_row
         #: Outstanding chunk requests per provider gidx (pipelining cap).
-        #: Dense list under the eager peer-state policy; a touched-peers
-        #: remap under the lazy one (identical reads/writes either way).
-        self.busy: "list[int] | _RemapCounts" = (
-            _RemapCounts() if lazy else [0] * n_peers
-        )
+        self.busy = _BusyCounts()
         #: Providers currently at/over the pipelining cap — the tiny
         #: (usually empty) complement the vectorised kernels subtract
         #: instead of re-checking ``busy`` per advertised pair.
@@ -428,6 +386,9 @@ class Engine:
     (:class:`~repro.streaming.soa.SoAState`); per-tick hole scans and
     provider-candidate enumeration run as array kernels over them, with a
     scalar plan for narrow partner sets (see ``_partner_ctx``).
+    Per-remote state — awareness scores, latencies, outstanding-request
+    counts — is computed on first contact, so what stays resident
+    follows the peers the probes touch, not the swarm.
     """
 
     def __init__(
@@ -458,14 +419,6 @@ class Engine:
         self._signaling = SignalingBook()
 
         self._build_directory(population)
-        #: Peer-state materialisation policy (profile knob, ``"auto"``
-        #: resolved against the directory size): the lazy mode allocates
-        #: score rows, latency rows and busy counters on first contact
-        #: instead of swarm-wide at build time.  Byte-identical either
-        #: way — the differential suites pin it.
-        self._lazy = (
-            profile.resolved_peer_state(self.n_remote + self.n_probe) == "lazy"
-        )
         self._build_protocol_state()
         #: Discovery sampler selection (profile knob, not swarm-format
         #: dependent — sparse and dense runs of one profile draw alike).
@@ -500,8 +453,8 @@ class Engine:
         self._ctx_uid = 0
         #: Per-probe (partners array, ctx) memo of the last lookup.
         self._pi_ctx: list = [None] * len(self._probes)
-        #: Blockwise availability cache (lazy mode): block id → threshold
-        #: block over the stacked cohort scalars.  Cleared whenever the
+        #: Blockwise availability cache: block id → threshold block over
+        #: the stacked cohort scalars.  Cleared whenever the
         #: participating ctx set (and so the column stacking) changes.
         self._thr_blocks: dict[int, np.ndarray] = {}
 
@@ -679,7 +632,12 @@ class Engine:
         #: and entries rebuild bit-identically on miss.
         self._ctx_store: list[dict[bytes, dict]] = [{} for _ in range(self.n_probe)]
         self._probes = [
-            _PeerState(self.n_remote + k, k, n_peers, self._lazy)
+            _PeerState(
+                self.n_remote + k,
+                k,
+                n_peers,
+                _LatencyRow(self._subnet, self._asn, self._cc, self.n_remote + k),
+            )
             for k in range(self.n_probe)
         ]
 
@@ -705,38 +663,16 @@ class Engine:
             for policy in (self._partner_policy, self._provider_policy, self._remote_policy)
         )
         # Awareness scores are a pure function of the (chooser, candidate)
-        # endpoint pair — every input is fixed at build time — so the score
-        # of each pair is precomputed once per policy.  Rows go through the
-        # exact same _features → scores pipeline the per-event path used,
-        # and softmax is element-independent, so indexing a cached row by a
-        # candidate subset yields bit-identical probabilities (and hence an
-        # identical RNG draw sequence) to rescoring that subset from scratch.
-        # The same element-independence runs the other way: scoring only a
-        # candidate *subset* yields the exact doubles a full-row gather
-        # would — which is what lets the lazy mode skip the swarm-wide
-        # matrices (3 × probes × peers float64) and score on demand.
-        if self._lazy:
-            self._partner_scores = None
-            self._provider_scores = None
-            self._remote_scores = None
-            #: LRU of full remote-policy rows (the rebalance pass gathers
-            #: against all online remotes, so per-probe rows are built
-            #: whole on first demand and kept under a byte budget).
-            self._remote_rows = ScoreRowCache(
-                self._build_remote_row, _SCORE_ROWS_BUDGET
-            )
-        else:
-            all_peers = np.arange(n, dtype=np.int64)
-            partner_rows, provider_rows, remote_rows = [], [], []
-            for probe in self._probes:
-                feats = self._features(probe.gidx, all_peers)
-                partner_rows.append(self._partner_policy.scores(feats))
-                provider_rows.append(self._provider_policy.scores(feats))
-                remote_rows.append(self._remote_policy.scores(feats))
-            self._partner_scores = np.vstack(partner_rows)
-            self._provider_scores = np.vstack(provider_rows)
-            self._remote_scores = np.vstack(remote_rows)
-            self._remote_rows = None
+        # endpoint pair — every input is fixed at build time — and
+        # element-independent: scoring a candidate subset through the
+        # _features → scores pipeline yields the exact doubles a full-row
+        # gather would, and softmax over them the identical probabilities
+        # (hence an identical RNG draw sequence).  So scores are computed
+        # on demand for just the candidates at hand; only the remote
+        # policy, which the rebalance pass gathers against every online
+        # remote, keeps whole per-probe rows, built on first demand and
+        # held in an LRU under a byte budget.
+        self._remote_rows = ScoreRowCache(self._build_remote_row, _SCORE_ROWS_BUDGET)
         # Tick-loop constants hoisted out of their dataclasses: _on_tick
         # fires tens of thousands of times and these attribute chains are
         # measurable there.
@@ -756,12 +692,6 @@ class Engine:
         #: tick loop can invert cached CDFs with a direct draw (same
         #: generator, same single-uniform consumption as sample_index).
         self._rng_sel = rng_sel
-        # Whether the peer directory is too large for a Python-list mirror
-        # of the O(probes × peers) latency rows (the lists trade ~2x
-        # scalar-read speed for a full copy; at paper scale that copy is
-        # hundreds of MB).  np.float64 elements hash/compare/format equal
-        # to plain floats, so traces are unaffected either way.
-        list_mirrors = (self.n_remote + self.n_probe) <= _LIST_MIRROR_MAX
         #: Per-probe memo of provider-selection CDFs (as sorted float
         #: lists), keyed by the holders' *score* tuple: the CDF is a pure
         #: function of the score sequence, so distinct holder sets with
@@ -775,40 +705,11 @@ class Engine:
         self._cdf_cache_max = _CDF_CACHE_MAX
         #: Entry budget for a narrow ctx's per-chunk threshold cache.
         self._thr_cache_max = _THR_CACHE_MAX
-        # Per-probe one-way latency rows (the latency model only depends on
-        # subnet/AS/CC equality, all static); nested lists for scalar reads
-        # at legacy scales, numpy rows beyond _LIST_MIRROR_MAX peers, and
-        # touched-peer remap rows in lazy mode (same doubles on read).
-        if self._lazy:
-            self._lat_rows: list = [
-                _RemapLatRow(self._subnet, self._asn, self._cc, p.gidx)
-                for p in self._probes
-            ]
-        else:
-            lat_arrays = [
-                np.where(
-                    self._subnet == self._subnet[p.gidx],
-                    0.001,
-                    np.where(
-                        self._asn == self._asn[p.gidx],
-                        0.005,
-                        np.where(self._cc == self._cc[p.gidx], 0.02, 0.08),
-                    ),
-                )
-                for p in self._probes
-            ]
-            self._lat_rows = (
-                [row.tolist() for row in lat_arrays] if list_mirrors else lat_arrays
-            )
-        for pi, p in enumerate(self._probes):
-            p.lat_row = self._lat_rows[pi]
 
     def _build_remote_row(self, pi: int) -> np.ndarray:
         """Probe ``pi``'s full remote-policy score row, built on demand.
 
-        Identical pipeline (``_features`` → ``scores`` over the whole
-        directory) to the eager build — the row is bit-for-bit the one
-        ``_remote_scores[pi]`` would hold.
+        The ``_features`` → ``scores`` pipeline over the whole directory.
         """
         n = self.n_remote + self.n_probe
         cands = np.arange(n, dtype=np.int64)
@@ -817,15 +718,8 @@ class Engine:
         )
 
     def _partner_scores_for(self, probe: _PeerState, cands: np.ndarray) -> np.ndarray:
-        """Partner-policy scores of ``cands`` from ``probe``'s viewpoint.
-
-        Row gather when eager, on-demand subset scoring when lazy — the
-        score pipeline is element-independent, so both produce the same
-        doubles (and hence the same downstream RNG draws).
-        """
-        if self._lazy:
-            return self._partner_policy.scores(self._features(probe.gidx, cands))
-        return self._partner_scores[probe.gidx - self.n_remote][cands]
+        """Partner-policy scores of ``cands`` from ``probe``'s viewpoint."""
+        return self._partner_policy.scores(self._features(probe.gidx, cands))
 
     # ------------------------------------------------------------- features
     def _features(self, chooser: int, cands: np.ndarray) -> CandidateFeatures:
@@ -887,8 +781,8 @@ class Engine:
         # Every latency query involves at least one probe endpoint; the
         # model is symmetric in (a, b), so one probe-indexed row suffices.
         if a >= self.n_remote:
-            return self._lat_rows[a - self.n_remote][b]
-        return self._lat_rows[b - self.n_remote][a]
+            return self._probes[a - self.n_remote].lat_row[b]
+        return self._probes[b - self.n_remote].lat_row[a]
 
     # ------------------------------------------------------------- recording
     def _record(self, t: float, src: int, dst: int, nbytes: int, kind: PacketKind) -> None:
@@ -1186,19 +1080,12 @@ class Engine:
                 )
                 self._cohort_ready = np.concatenate([c["ready"] for c in rctxs])
                 self._thr_blocks.clear()
-            gens = np.arange(floor, newest + 1, dtype=np.float64) * ci
-            if self._lazy:
-                # Blockwise path: thresholds are t-independent chunk
-                # constants, so rows persist across ticks in fixed-span
-                # blocks and only the boolean compare runs per tick.
-                thr = self._thr_window(floor, newest, ci)
-            else:
-                thr = np.maximum(
-                    gens[:, None] + self._cohort_delays[None, :],
-                    self._cohort_ready[None, :],
-                )
-            AV = thr <= t
+            # Thresholds are t-independent chunk constants, so rows
+            # persist across ticks in fixed-span blocks and only the
+            # boolean compare runs per tick.
+            AV = self._thr_window(floor, newest, ci) <= t
             if check_fresh:
+                gens = np.arange(floor, newest + 1, dtype=np.float64) * ci
                 AV &= (gens + retention > t)[:, None]
         roff = poff = 0
         for ctx in ctxs:
@@ -1228,7 +1115,7 @@ class Engine:
         ``max(c·ci + delay, ready)`` — ``np.arange(lo, lo + B) * ci``
         produces the same ``c·ci`` doubles as the window-wide arange, and
         ``np.maximum`` is elementwise, so the assembled window is
-        bit-for-bit the matrix the eager path builds per tick.  The live
+        bit-for-bit the matrix a per-tick window build would give.  The live
         window only walks upward, so eviction drops the lowest block id;
         a re-touched block rebuilds identically (memory-only bound).
         """
@@ -1237,9 +1124,9 @@ class Engine:
         b1 = newest // _THR_BLOCK
         parts = []
         for b in range(b0, b1 + 1):
+            lo = b * _THR_BLOCK
             blk = blocks.get(b)
             if blk is None:
-                lo = b * _THR_BLOCK
                 gens_b = np.arange(lo, lo + _THR_BLOCK, dtype=np.float64) * ci
                 blk = np.maximum(
                     gens_b[:, None] + self._cohort_delays[None, :],
@@ -1248,10 +1135,9 @@ class Engine:
                 while len(blocks) >= _THR_BLOCKS_MAX:
                     blocks.pop(min(blocks))
                 blocks[b] = blk
-            parts.append(blk)
-        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        lo0 = b0 * _THR_BLOCK
-        return stack[floor - lo0 : newest + 1 - lo0]
+            # Slice before joining, so only the window's rows are copied.
+            parts.append(blk[max(floor - lo, 0) : newest + 1 - lo])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _on_tick(self, probe: _PeerState) -> None:
         t = self._queue.now
@@ -1371,12 +1257,7 @@ class Engine:
                 k = min(int(rng.poisson(target)), len(remotes))
                 if k == 0:
                     continue
-                pi = probe.gidx - self.n_remote
-                row = (
-                    self._remote_rows.row(pi)
-                    if self._lazy
-                    else self._remote_scores[pi]
-                )
+                row = self._remote_rows.row(probe.pi)
                 picked = self._remote_policy.choose_scored(row[remotes], k)
                 window_end = min(t + self.config.demand_rebalance_s, self.config.duration_s)
                 for i in picked:
@@ -1590,17 +1471,9 @@ class Engine:
                 plan.append((g, -1, g - nr))
                 p += 1
         plan_g = partners.copy()
-        # Provider scores over the plan columns.  Eager: a gather from
-        # the precomputed swarm-wide row.  Lazy: scored on demand over just
-        # these columns — SelectionPolicy.scores is elementwise per
-        # candidate, so the subset compute yields the identical IEEE
-        # doubles the full-row gather would.
-        if self._lazy:
-            plan_scores = self._provider_policy.scores(
-                self._features(nr + pi, plan_g)
-            )
-        else:
-            plan_scores = self._provider_scores[pi][plan_g]
+        # Provider scores over the plan columns, scored on demand
+        # (element-independent, see _build_protocol_state).
+        plan_scores = self._provider_policy.scores(self._features(nr + pi, plan_g))
         ctx = {
             "plan_cols": np.array(plan_cols, dtype=np.int64),
             "plan_g": plan_g,
@@ -1780,24 +1653,18 @@ class Engine:
             "video_bytes": int(transfers["bytes"][video].sum()),
             "remote_peers": int(self.n_remote),
             "probes": int(self.n_probe),
-            "peer_state": "lazy" if self._lazy else "eager",
-        }
-        if self._lazy:
-            # Residency accounting for the lazy materialisation layer —
-            # counts, not floats, and a pure function of the seed (the
-            # touch sequence is part of the determinism contract).
-            stats["lazy"] = {
+            # Residency of the per-remote state materialised on first
+            # contact — counts, not floats, and a pure function of the
+            # seed (the touch sequence is part of the determinism contract).
+            "lazy": {
                 "score_rows_cached": int(len(self._remote_rows)),
                 "score_row_hits": int(self._remote_rows.hits),
                 "score_row_misses": int(self._remote_rows.misses),
                 "score_row_evictions": int(self._remote_rows.evictions),
-                "max_touched_busy": max(
-                    (len(p.busy) for p in self._probes), default=0
-                ),
-                "max_touched_lat": max(
-                    (len(r) for r in self._lat_rows), default=0
-                ),
-            }
+                "max_touched_busy": max(len(p.busy) for p in self._probes),
+                "max_touched_lat": max(len(p.lat_row) for p in self._probes),
+            },
+        }
         _log.info(
             "run-complete",
             profile=self.profile.name,

@@ -25,7 +25,6 @@ from repro.population.demographics import cctv1_audience
 from repro.population.sparse import (
     DEFAULT_BLOCK_SIZE,
     AliasTable,
-    IndexRemap,
     ScoreRowCache,
     SparseSwarmConfig,
     generate_sparse_swarm,
@@ -232,19 +231,6 @@ class TestAliasTable:
             assert np.allclose(f_alias, f_ref, atol=0.05)
 
         check()
-
-
-class TestIndexRemap:
-    """The compact first-contact index map behind lazy per-remote state."""
-
-    def test_slots_assigned_densely_in_touch_order(self):
-        remap = IndexRemap()
-        assert remap.slot(70_000) is None
-        assert remap.ensure(70_000) == 0
-        assert remap.ensure(12) == 1
-        assert remap.ensure(70_000) == 0  # idempotent
-        assert remap.slot(12) == 1
-        assert len(remap) == 2
 
 
 class TestScoreRowCache:

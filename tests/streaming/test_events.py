@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.streaming.events import DEFAULT_BUCKET_WIDTH_S, EventQueue, HeapEventQueue
+from repro.streaming.events import DEFAULT_BUCKET_WIDTH_S, EventQueue
+
+from tests.streaming.heap_queue import HeapEventQueue
 
 
 class TestScheduling:

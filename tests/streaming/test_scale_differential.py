@@ -18,7 +18,6 @@ host rows, total events processed and the per-kind dispatch counters.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -37,6 +36,7 @@ from tests.golden.regen_engine import (
     NAPA_REFERENCE_CASES,
     OBJECT_REFERENCE_PATH,
     full_digests,
+    run_engine_golden,
     run_napa_case,
 )
 
@@ -131,45 +131,39 @@ class TestEngineIndependenceAtScale:
 
 
 class TestLazyPeerState:
-    """Lazy materialisation ≡ eager precompute, byte for byte.
+    """First-contact peer state ≡ the retired swarm-wide precompute.
 
-    The mega-scale kernels (on-demand score rows, first-contact busy and
-    latency state, blockwise availability) must compute the very same
-    IEEE doubles the eager path precomputes up front — checked at test
-    scale across both population representations, including the
-    mega-scale profile's own configuration resized down.
+    The engine scores candidates on demand and materialises busy and
+    latency state per touched peer; its threshold rows come from cached
+    blocks.  Each piece must compute the very same IEEE doubles the old
+    eager path precomputed up front — checked at test scale against the
+    digests recorded under both peer-state paths, across both population
+    representations, including the mega-scale profile resized down.
 
-    The ``core`` parameter names where the reference side of a comparison
-    comes from: ``"object"`` is the retired object core's recorded run
-    (``tests/golden/object_reference_hashes.json``), ``"soa"`` a live run
-    of the engine, the former struct-of-arrays core.
+    The ``core`` parameter keeps its historical ids and names the
+    reference side of a comparison: ``"object"`` is a run the retired
+    object core recorded (``tests/golden/object_reference_hashes.json``),
+    ``"soa"`` a recording or live run of the engine, the former
+    struct-of-arrays core.
     """
 
     @pytest.mark.parametrize("core", ["object", "soa"])
     def test_lazy_equals_eager_both_engines(self, core, reference):
-        lazy = full_digests(run_napa_case("napa-lazy-1200"))
-        if core == "object":
-            eager = reference["napa"]["napa-eager-1200"]
-        else:
-            eager = full_digests(run_napa_case("napa-eager-1200"))
-        assert lazy == eager
+        recorded = "napa-eager-1200" if core == "object" else "napa-lazy-1200"
+        run = full_digests(run_napa_case("napa-lazy-1200"))
+        assert run == reference["napa"][recorded]
 
-    def test_mega_scale_config_matches_eager_at_test_scale(self):
-        lazy = get_profile("mega-scale").scaled_swarm(2500)
-        assert lazy.peer_state == "lazy"
-        kw = dict(seed=7, duration_s=60.0)
-        a = _digest(simulate(lazy, **kw))
-        b = _digest(simulate(replace(lazy, peer_state="eager"), **kw))
-        assert a == b
+    def test_mega_scale_config_matches_eager_at_test_scale(self, reference):
+        profile = get_profile("mega-scale").scaled_swarm(2500)
+        res = simulate(profile, seed=7, duration_s=60.0)
+        assert full_digests(res) == reference["napa"]["mega-eager-2500"]
 
     @pytest.mark.parametrize("core", ["object", "soa"])
     def test_lazy_sparse_equals_dense(self, core, reference):
         """A live run over the object view matches the column run of
         either core (the recorded ``napa-lazy-800`` case ran on columns)."""
-        assert NAPA_REFERENCE_CASES["napa-lazy-800"] == (
-            800, 7, 60.0, {"peer_state": "lazy"}
-        )
-        profile = replace(_napa(800), peer_state="lazy")
+        assert NAPA_REFERENCE_CASES["napa-lazy-800"] == (800, 7, 60.0, {})
+        profile = _napa(800)
         kw = dict(seed=7, duration_s=60.0)
         dense = full_digests(_run_with_population(profile, "dense", **kw))
         if core == "object":
@@ -188,13 +182,20 @@ class TestLazyPeerState:
         if core == "object":
             lazy = reference["lazy_stats"][name]
         else:
-            stats = run_napa_case(name).extras["engine_stats"]
-            assert stats["peer_state"] == "lazy"
-            lazy = stats["lazy"]
+            lazy = run_napa_case(name).extras["engine_stats"]["lazy"]
         n = NAPA_REFERENCE_CASES[name][0]
         assert 0 < lazy["max_touched_busy"] < n
         assert 0 < lazy["max_touched_lat"] < n
         assert lazy["score_row_misses"] >= lazy["score_rows_cached"] > 0
+
+    def test_dense_legacy_run_holds_touched_state_only(self):
+        """The legacy dense profiles take the same first-contact path:
+        the golden tvants run keeps busy and latency state for a strict
+        subset of its remote peers."""
+        stats = run_engine_golden("tvants").extras["engine_stats"]
+        n = stats["remote_peers"]
+        assert 0 < stats["lazy"]["max_touched_busy"] < n
+        assert 0 < stats["lazy"]["max_touched_lat"] < n
 
     def test_lazy_counters_engine_agnostic(self, reference):
         """The counters count protocol-level contacts, so they match the
