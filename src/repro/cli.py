@@ -16,13 +16,13 @@ Three subcommands mirror the measurement workflow:
 
 Invoke as ``repro-p2ptv`` (console script) or ``python -m repro``.
 The ``campaign``, ``replicate`` and ``robustness`` subcommands accept
-``--workers N`` / ``--backend {serial,process,supervised}`` to fan
-independent experiment shards out over a process pool (see
-:mod:`repro.exec`), plus the supervision knobs ``--shard-timeout`` /
-``--max-attempts`` / ``--quarantine-dir`` — naming any of them routes
-execution through the supervised runtime
-(:mod:`repro.exec.supervisor`: deadlines, crash isolation, retry with
-backoff, poison-shard quarantine).
+``--workers N`` / ``--backend {serial,process}`` to fan independent
+experiment shards out over the supervised process pool (see
+:mod:`repro.exec` and :mod:`repro.exec.supervisor`: deadlines, crash
+isolation, retry with backoff, poison-shard quarantine), plus the
+supervision knobs ``--shard-timeout`` / ``--max-attempts`` /
+``--quarantine-dir`` — on the serial backend, naming any of them
+switches on inline supervision.
 ``simulate``, ``campaign``, ``replicate`` and ``robustness`` accept
 ``--scheduler {mesh-pull,rarest,edf,push}`` to run under an alternative
 chunk-scheduling policy (see :mod:`repro.streaming.schedulers`; env
@@ -333,7 +333,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         help="process-pool size (N > 1 implies --backend process)",
     )
     parser.add_argument(
-        "--backend", choices=("serial", "process", "supervised"), default=None,
+        "--backend", choices=("serial", "process"), default=None,
         help="shard executor backend (default: serial, or $REPRO_EXEC_BACKEND)",
     )
     parser.add_argument(
@@ -355,15 +355,14 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
 def _policy_from_args(args: argparse.Namespace):
     """A SupervisionPolicy when any supervision flag was given, else None.
 
-    None keeps the plain backends; any explicit knob opts the run into
-    the supervised runtime (:func:`repro.exec.backends.resolve_executor`
-    upgrades the backend accordingly).
+    None leaves the process pool on the default policy and the serial
+    backend unsupervised; any explicit knob tunes the pool, or opts a
+    serial run into inline supervision.
     """
     if (
         args.shard_timeout is None
         and args.max_attempts is None
         and args.quarantine_dir is None
-        and args.backend != "supervised"
     ):
         return None
     from repro.exec.supervisor import SupervisionPolicy

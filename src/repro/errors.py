@@ -46,10 +46,10 @@ class TraceWarning(UserWarning):
 class ExecutorError(ReproError):
     """A shard executor failed at the infrastructure level.
 
-    Raised by the *unsupervised* process backend when a worker dies or a
-    payload cannot cross the process boundary; the supervised runtime
-    (:mod:`repro.exec.supervisor`) traps the same conditions into failed
-    shard outcomes instead.
+    Raised by the supervised executor (:mod:`repro.exec.supervisor`)
+    when a shard with no salvage hook — a robustness severity point, a
+    plain function over plain specs — exhausts its attempts; campaign
+    shards are salvaged into failed outcomes instead.
     """
 
 

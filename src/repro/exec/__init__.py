@@ -15,11 +15,11 @@ Layout:
   world/testbed/registry construction;
 * :mod:`repro.exec.worker`   — ``run_shard``, the per-shard pipeline
   (checkpoint → simulate → impair → validate → analyze → checkpoint);
-* :mod:`repro.exec.backends` — the executor protocol with ``serial`` and
-  ``process`` (:mod:`concurrent.futures`) backends;
-* :mod:`repro.exec.supervisor` — the supervised runtime (``supervised``
-  backend): deadlines, crash isolation, retry/backoff, quarantine,
-  graceful drain, worker recycling;
+* :mod:`repro.exec.backends` — the executor protocol and backend
+  selection: ``serial`` (inline) or ``process``;
+* :mod:`repro.exec.supervisor` — the supervised process pool behind the
+  ``process`` backend: deadlines, crash isolation, retry/backoff,
+  quarantine, graceful drain, worker recycling;
 * :mod:`repro.exec.chaos`     — the deterministic worker-fault harness
   that proves the supervisor against the real process pool.
 
@@ -34,11 +34,10 @@ from repro.exec.backends import (
     ENV_WORKERS,
     EXECUTOR_BACKENDS,
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     resolve_executor,
 )
-from repro.exec.chaos import ENV_CHAOS, ChaosFault, ChaosPlan, chaos_enabled
+from repro.exec.chaos import ENV_CHAOS, ChaosFault, ChaosPlan
 from repro.exec.context import campaign_context, shard_context
 from repro.exec.shards import RESEED_STRIDE, ShardKey, ShardOutcome, ShardSpec
 from repro.exec.supervisor import SupervisedExecutor, SupervisionPolicy
@@ -52,7 +51,6 @@ __all__ = [
     "ChaosFault",
     "ChaosPlan",
     "Executor",
-    "ProcessExecutor",
     "RESEED_STRIDE",
     "SerialExecutor",
     "ShardKey",
@@ -61,7 +59,6 @@ __all__ = [
     "SupervisedExecutor",
     "SupervisionPolicy",
     "campaign_context",
-    "chaos_enabled",
     "resolve_executor",
     "run_shard",
     "shard_context",

@@ -1,46 +1,38 @@
 """Executor backends: where shards actually run.
 
-Three implementations of one protocol:
+Two backends, one protocol:
 
-* :class:`SerialExecutor` — in-process, in spec order; zero overhead,
-  full fidelity (live result objects, monkeypatch-friendly);
-* :class:`ProcessExecutor` — a :class:`concurrent.futures.
-  ProcessPoolExecutor` fan-out.  Futures complete in whatever order the
-  OS schedules, but results are slotted back by spec index, so the
-  reduction downstream is order-independent by construction.  This is
-  the *unsupervised* fast path: a worker crash or hang is fatal to the
-  whole map (wrapped as :class:`~repro.errors.ExecutorError`);
-* :class:`~repro.exec.supervisor.SupervisedExecutor` (backend name
-  ``"supervised"``) — the resilient pool: per-shard deadlines, crash
-  isolation, retry with backoff, poison quarantine, graceful drain.
+* ``serial`` — :class:`SerialExecutor` runs every shard in-process, in
+  spec order; zero overhead, full fidelity (live result objects,
+  monkeypatch-friendly);
+* ``process`` — :class:`~repro.exec.supervisor.SupervisedExecutor`, the
+  supervised process pool: per-shard deadlines, crash isolation, retry
+  with backoff, poison quarantine, graceful drain.  Results are slotted
+  back by spec index, so the reduction downstream is order-independent
+  by construction.
 
 Backend selection honours (in precedence order) explicit arguments, the
 ``REPRO_EXEC_BACKEND`` / ``REPRO_EXEC_WORKERS`` environment variables
 (how CI runs the whole tier-1 suite through the process pool), then the
 serial default.  Passing ``workers > 1`` without naming a backend implies
-``process``.  Two conditions upgrade ``process`` to ``supervised``: a
-:class:`~repro.exec.supervisor.SupervisionPolicy` passed by the caller,
-or a chaos plan in the environment (``REPRO_CHAOS_PLAN``) — an
-unsupervised pool cannot survive the worker faults a plan injects.
+``process``.  A :class:`~repro.exec.supervisor.SupervisionPolicy` tunes
+the pool; on the serial backend it switches on inline supervision.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
-from repro.errors import ConfigurationError, ExecutorError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.supervisor import SupervisionPolicy
+from repro.errors import ConfigurationError
+from repro.exec.supervisor import SupervisedExecutor, SupervisionPolicy
 
 S = TypeVar("S")
 R = TypeVar("R")
 
 #: Recognised backend names.
-EXECUTOR_BACKENDS = ("serial", "process", "supervised")
+EXECUTOR_BACKENDS = ("serial", "process")
 
 #: Environment overrides consulted when no explicit choice is made.
 ENV_BACKEND = "REPRO_EXEC_BACKEND"
@@ -51,8 +43,6 @@ ENV_WORKERS = "REPRO_EXEC_WORKERS"
 class Executor(Protocol):
     """Anything that can run shards through a worker function."""
 
-    name: str
-
     def map_shards(self, fn: Callable[[S], R], specs: Sequence[S]) -> list[R]:
         """Run ``fn`` over ``specs``; results in spec order."""
         ...  # pragma: no cover - protocol
@@ -62,54 +52,8 @@ class Executor(Protocol):
 class SerialExecutor:
     """Run every shard inline, in order — the reference backend."""
 
-    name: str = "serial"
-
     def map_shards(self, fn: Callable[[S], R], specs: Sequence[S]) -> list[R]:
         return [fn(spec) for spec in specs]
-
-
-@dataclass(frozen=True)
-class ProcessExecutor:
-    """Fan shards out over a process pool.
-
-    Workers pay the world construction once (the pristine-context cache
-    is per process) and amortise it over every shard they execute.  A
-    worker crash or unpicklable payload raises — those are bugs, not
-    per-shard experiment failures, which :func:`~repro.exec.worker.
-    run_shard` already traps into the outcome.
-    """
-
-    workers: int = 2
-    name: str = "process"
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError("process backend needs at least one worker")
-
-    def map_shards(self, fn: Callable[[S], R], specs: Sequence[S]) -> list[R]:
-        if not specs:
-            return []
-        results: list[R | None] = [None] * len(specs)
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(specs))) as pool:
-            by_future = {pool.submit(fn, spec): i for i, spec in enumerate(specs)}
-            done, not_done = wait(by_future, return_when=FIRST_EXCEPTION)
-            # FIRST_EXCEPTION returns early when a future raised; cancel
-            # what never started (running futures cannot be cancelled —
-            # the pool shutdown below still waits on them) and re-raise
-            # with the failing shard identified.
-            failed = next((f for f in done if f.exception() is not None), None)
-            if failed is not None:
-                for future in not_done:
-                    future.cancel()
-                index = by_future[failed]
-                exc = failed.exception()
-                raise ExecutorError(
-                    f"shard {index} ({specs[index]!s}) failed in the unsupervised "
-                    f"process pool: {type(exc).__name__}: {exc}"
-                ) from exc
-            for future in done:
-                results[by_future[future]] = future.result()
-        return list(results)  # type: ignore[arg-type]
 
 
 def _env_workers() -> int | None:
@@ -130,25 +74,23 @@ def _env_workers() -> int | None:
 def resolve_executor(
     backend: str | None = None,
     workers: int | None = None,
-    policy: "SupervisionPolicy | None" = None,
+    policy: SupervisionPolicy | None = None,
 ) -> Executor:
     """Pick an executor from explicit choices, the environment, or defaults.
 
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"process"``, ``"supervised"``, or None to consult
+        ``"serial"``, ``"process"``, or None to consult
         ``REPRO_EXEC_BACKEND`` and fall back to serial.
     workers:
         Process-pool size; None consults ``REPRO_EXEC_WORKERS`` then
         defaults to the CPU count.  ``workers > 1`` with no backend named
         implies the process backend.
     policy:
-        A :class:`~repro.exec.supervisor.SupervisionPolicy`.  Providing
-        one routes pool execution through the supervised runtime (and
-        serial execution through its inline-supervision mode).  A chaos
-        plan in the environment has the same pool-upgrading effect —
-        an unsupervised pool cannot survive injected worker crashes.
+        A :class:`~repro.exec.supervisor.SupervisionPolicy` for the
+        process pool (default: ``SupervisionPolicy()``).  On the serial
+        backend, providing one switches on inline supervision.
     """
     if backend is None:
         backend = os.environ.get(ENV_BACKEND, "").strip() or None
@@ -164,19 +106,9 @@ def resolve_executor(
         )
     if backend == "serial":
         if policy is not None:
-            from repro.exec.supervisor import SupervisedExecutor
-
             return SupervisedExecutor(workers=1, policy=policy, inline=True)
         return SerialExecutor()
-    pool_workers = workers if workers is not None else (os.cpu_count() or 2)
-    if backend == "process" and policy is None:
-        from repro.exec.chaos import chaos_enabled
-
-        if not chaos_enabled():
-            return ProcessExecutor(workers=pool_workers)
-    from repro.exec.supervisor import SupervisedExecutor, SupervisionPolicy
-
     return SupervisedExecutor(
-        workers=pool_workers,
-        policy=policy if policy is not None else SupervisionPolicy(),
+        workers=workers if workers is not None else (os.cpu_count() or 2),
+        policy=policy or SupervisionPolicy(),
     )

@@ -3,16 +3,18 @@
 The supervised runtime (:mod:`repro.exec.supervisor`) claims that a
 worker crash, a hang or a corrupted payload becomes a failed shard
 outcome — never a campaign abort.  This module makes that claim
-testable against the *real* process pool: a seeded :class:`ChaosPlan`
-names which shards misbehave and how, travels to worker processes
-through the ``REPRO_CHAOS_PLAN`` environment variable (so fork- and
-spawn-started workers both see it), and is consulted by the supervised
-worker loop around every shard attempt.
+testable against the real process pool (the ``process`` backend): a
+seeded :class:`ChaosPlan` names which shards misbehave and how, travels
+to worker processes through the ``REPRO_CHAOS_PLAN`` environment
+variable (so fork- and spawn-started workers both see it), and is
+consulted by the pool's worker loop around every shard attempt.
 
 Fault kinds:
 
-* ``crash``   — the worker process dies mid-task (``os._exit``), exactly
-  like a segfault or the OOM killer;
+* ``crash``   — the worker process dies mid-task (``os._exit``), like a
+  segfault;
+* ``oom``     — the worker process SIGKILLs itself, exactly as the OOM
+  killer would; the supervisor quarantines it without a retry;
 * ``hang``    — the worker sleeps past any reasonable deadline
   (``hang_s``, default one hour), like a wedged syscall;
 * ``raise``   — the shard function appears to throw
@@ -40,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import time
 from dataclasses import dataclass
 
@@ -49,7 +52,7 @@ from repro.errors import ChaosError, ConfigurationError
 ENV_CHAOS = "REPRO_CHAOS_PLAN"
 
 #: Recognised fault kinds.
-CHAOS_KINDS = ("crash", "hang", "raise", "corrupt")
+CHAOS_KINDS = ("crash", "oom", "hang", "raise", "corrupt")
 
 #: Exit status of a chaos-crashed worker (distinctive in process tables).
 CHAOS_EXIT_CODE = 86
@@ -137,17 +140,19 @@ class ChaosPlan:
 
     # ----------------------------------------------------- worker-side hooks
     def inject_before(self, label: str, attempt: int) -> None:
-        """Pre-execution faults: crash, hang, raise.
+        """Pre-execution faults: crash, oom, hang, raise.
 
         Called by the supervised worker loop before running the shard
-        function.  ``crash`` never returns; ``hang`` sleeps long enough
-        for the parent's deadline to fire first.
+        function.  ``crash`` and ``oom`` never return; ``hang`` sleeps
+        long enough for the parent's deadline to fire first.
         """
         fault = self.fault_for(label, attempt)
         if fault is None or fault.kind == "corrupt":
             return
         if fault.kind == "crash":
             os._exit(CHAOS_EXIT_CODE)
+        if fault.kind == "oom":
+            os.kill(os.getpid(), signal.SIGKILL)
         if fault.kind == "hang":
             time.sleep(self.hang_s)
             return
@@ -236,13 +241,3 @@ def plan_from_env(environ: dict | None = None) -> ChaosPlan | None:
     plan = ChaosPlan.from_json(raw)
     return None if plan.is_noop else plan
 
-
-def chaos_enabled(environ: dict | None = None) -> bool:
-    """True when a chaos plan is present in the environment.
-
-    The cheap check :func:`~repro.exec.backends.resolve_executor` uses to
-    route ``process`` campaigns through the supervised pool — a plain
-    :class:`~concurrent.futures.ProcessPoolExecutor` cannot survive the
-    worker crashes a plan injects.
-    """
-    return bool((environ if environ is not None else os.environ).get(ENV_CHAOS, "").strip())

@@ -1,12 +1,13 @@
 """Supervised execution: the crash-isolated shard runtime.
 
-The raw backends in :mod:`repro.exec.backends` assume workers are
-well-behaved: a process that segfaults, wedges or returns garbage takes
-the whole campaign down with it.  Multi-hour measurement campaigns —
-the workload this reproduction models — cannot afford that; worker
-failure is the common case at scale, not the exception.  This module
-supervises shard execution so that *every* infrastructure failure
-becomes a per-shard outcome and the campaign always completes:
+This is the ``process`` backend of :mod:`repro.exec.backends` — the
+only way shards leave the parent process.  Multi-hour measurement
+campaigns — the workload this reproduction models — cannot afford a
+worker that segfaults, wedges or returns garbage taking the whole
+campaign down with it; worker failure is the common case at scale, not
+the exception.  This module supervises shard execution so that *every*
+infrastructure failure becomes a per-shard outcome and the campaign
+always completes:
 
 * **deadlines** — each shard attempt gets a wall-clock budget
   (:meth:`SupervisionPolicy.deadline_for`, derived from the shard's
@@ -14,7 +15,9 @@ becomes a per-shard outcome and the campaign always completes:
   worker is killed, not waited on;
 * **crash isolation** — a worker dying (chaos ``os._exit``, OOM kill,
   segfault) is detected through its pipe and charged to the shard it
-  was running; the pool carries on;
+  was running; the pool carries on.  A SIGKILL the supervisor did not
+  send is classified ``oom`` and quarantined at once — a same-seed
+  retry would be killed the same way;
 * **retry with backoff + reseed** — failed attempts are re-queued up to
   ``max_attempts`` with exponential backoff.  Payload failures
   (exceptions, corrupted results) retry under a shifted RNG stream via
@@ -41,8 +44,9 @@ the shipped bundle, so a payload corrupted in transport (the chaos
 harness's ``corrupt`` fault) is caught and retried rather than merged.
 
 Telemetry (merged into the campaign's):  ``exec/retries``,
-``exec/timeouts``, ``exec/crashes``, ``exec/errors``, ``exec/corrupt``,
-``exec/quarantined``, ``exec/interrupted``, ``exec/worker_restarts``.
+``exec/timeouts``, ``exec/crashes``, ``exec/oom``, ``exec/errors``,
+``exec/corrupt``, ``exec/quarantined``, ``exec/interrupted``,
+``exec/worker_restarts``.
 Per-shard supervision records (label, deadline, per-attempt status,
 outcome class) land on each :class:`ShardOutcome` and from there in the
 run manifest's ``supervision`` block.
@@ -75,18 +79,24 @@ from repro.obs.telemetry import Telemetry
 _log = get_logger("exec.supervisor")
 
 #: Failure kinds that indicate a *deterministic payload* problem; their
-#: retries shift the shard's RNG stream (PR-1 reseed semantics).  Crash
-#: and timeout are infrastructure faults and retry under the same seed.
+#: retries shift the shard's RNG stream (the in-shard reseed stride).
+#: Crash and timeout are infrastructure faults and retry under the same
+#: seed; an ``oom`` kill is never retried (the same seed dies the same way).
 _RESEED_KINDS = ("error", "corrupt")
 
 #: kind → telemetry counter.
 _FAIL_COUNTERS = {
     "crash": "exec/crashes",
+    "oom": "exec/oom",
     "timeout": "exec/timeouts",
     "error": "exec/errors",
     "corrupt": "exec/corrupt",
     "interrupted": "exec/interrupted",
 }
+
+#: How long a worker whose pipe hit EOF gets to finish exiting before its
+#: exit status is read (a dead worker is reaped in microseconds).
+_EXIT_GRACE_S = 1.0
 
 #: Ceiling on the supervision poll interval; readiness events wake the
 #: loop immediately, this only bounds how late a deadline can fire.
@@ -384,7 +394,6 @@ class SupervisedExecutor:
     workers: int = 2
     policy: SupervisionPolicy = field(default_factory=SupervisionPolicy)
     inline: bool = False
-    name: str = "supervised"
     salvage: Callable[[Any, dict], Any] | None = None
     validate: Callable[[Any, Any], str | None] | None = None
     telemetry: Telemetry = field(default_factory=Telemetry)
@@ -393,7 +402,7 @@ class SupervisedExecutor:
 
     def __post_init__(self) -> None:
         if self.workers < 1:
-            raise ConfigurationError("supervised backend needs at least one worker")
+            raise ConfigurationError("process backend needs at least one worker")
 
     # ----------------------------------------------------------------- public
     def map_shards(self, fn: Callable, specs: Sequence) -> list:
@@ -581,15 +590,23 @@ class SupervisedExecutor:
         try:
             msg = worker.conn.recv()
         except (EOFError, OSError):
-            # Worker died mid-task: the crash-isolation path.
+            # Worker died mid-task: the crash-isolation path.  Its exit
+            # status is read before worker.kill() can signal it, so a
+            # SIGKILL seen here came from outside — the OOM killer.
             wall = time.monotonic() - task.started_at
             worker.task = None
             workers.remove(worker)
+            worker.process.join(timeout=_EXIT_GRACE_S)
+            oom = worker.process.exitcode == -signal.SIGKILL
             worker.kill()
             self.telemetry.count("exec/worker_restarts")
+            if oom:
+                kind, error = "oom", "worker process killed by SIGKILL (out of memory?)"
+            else:
+                kind, error = "crash", "worker process died"
             self._attempt_failed(
-                task.index, task.spec, task.attempt, "crash",
-                "worker process died", wall, pending, results, done,
+                task.index, task.spec, task.attempt, kind, error, wall,
+                pending, results, done,
             )
             return
         kind, index, attempt, payload = msg
@@ -645,7 +662,8 @@ class SupervisedExecutor:
     ) -> None:
         record = self.records[index]
         self._record_failure(record, attempt, kind, error, wall_s)
-        if attempt + 1 < self.policy.max_attempts and not self._drain_flag:
+        retryable = kind != "oom" and not self._drain_flag
+        if retryable and attempt + 1 < self.policy.max_attempts:
             self.telemetry.count("exec/retries")
             next_attempt = attempt + 1
             next_spec = _reseed(spec, next_attempt) if kind in _RESEED_KINDS else spec

@@ -180,8 +180,8 @@ class Campaign:
     #: manifest's per-shard stage timings).
     shard_telemetry: dict[str, Telemetry] = field(default_factory=dict)
     #: Per-shard supervision records (attempts, deadline, outcome class)
-    #: when the campaign ran under the supervised executor; empty on the
-    #: plain serial/process backends.
+    #: when the campaign ran under the supervised executor (the process
+    #: pool, or a serial run given a policy); empty on plain serial runs.
     supervision: dict[str, dict] = field(default_factory=dict)
     #: Degradation markers: a quarantined or drain-interrupted shard
     #: flags the campaign so downstream reporting knows the numbers are
@@ -387,18 +387,16 @@ def run_campaign(
         alone implies ``backend="process"``.
     backend:
         ``"serial"`` (default) runs shards inline; ``"process"`` fans
-        them out over a :class:`concurrent.futures.ProcessPoolExecutor`;
-        ``"supervised"`` fans them out under the resilient runtime
-        (deadlines, crash isolation, retry, quarantine — see
-        :mod:`repro.exec.supervisor`).  All produce identical campaigns
-        on a clean run — same transfer logs, reports, ledgers and
-        impairment logs (the determinism tests assert it).  Unset values
-        fall back to ``REPRO_EXEC_BACKEND`` / ``REPRO_EXEC_WORKERS``.
+        them out over the supervised process pool (deadlines, crash
+        isolation, retry, quarantine — see :mod:`repro.exec.supervisor`).
+        Both produce identical campaigns on a clean run — same transfer
+        logs, reports, ledgers and impairment logs (the determinism
+        tests assert it).  Unset values fall back to
+        ``REPRO_EXEC_BACKEND`` / ``REPRO_EXEC_WORKERS``.
     policy:
         A :class:`~repro.exec.supervisor.SupervisionPolicy` (shard
-        deadlines, attempt budget, quarantine directory).  Providing one
-        routes execution through the supervised runtime even when
-        ``backend`` names a plain one.
+        deadlines, attempt budget, quarantine directory) for the process
+        pool; on the serial backend it switches on inline supervision.
 
     Never raises on a per-application failure: inspect
     ``campaign.failures`` (and ``campaign.failed_apps``) for anything the

@@ -179,9 +179,10 @@ def sweep_robustness(
     Severity points are independent shards (each on its own pristine
     world copy, same engine seed) and fan out over the selected executor
     backend; the report lists them in the requested severity order
-    regardless of completion order.  Under a supervision ``policy`` the
-    points run with deadlines/retries; a point that exhausts every
-    attempt raises :class:`~repro.errors.ExecutorError` (severity sweeps
+    regardless of completion order.  On the process pool the points run
+    with deadlines and retries (serially, a supervision ``policy`` adds
+    inline retries); a point that exhausts every attempt raises
+    :class:`~repro.errors.ExecutorError` (severity sweeps
     have no degraded-completion mode — a hole in the curve would be
     misleading).
     """

@@ -155,8 +155,8 @@ def manifest_from_campaign(
                 "telemetry": tel.as_dict() if tel else {},
                 # Supervised-runtime record: per-attempt status, the
                 # deadline the shard ran under, and the outcome class
-                # (ok / quarantined / interrupted).  None on the plain
-                # serial/process backends.
+                # (ok / quarantined / interrupted).  None on plain
+                # serial runs.
                 "supervision": supervision.get(app),
             }
         )

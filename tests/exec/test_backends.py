@@ -1,11 +1,11 @@
-"""Backend selection and the unsupervised pool's failure reporting."""
+"""Backend selection and the process pool's failure reporting."""
 
 import pytest
 
 from repro.errors import ConfigurationError, ExecutorError
 from repro.exec.backends import (
+    ENV_BACKEND,
     ENV_WORKERS,
-    ProcessExecutor,
     SerialExecutor,
     resolve_executor,
 )
@@ -19,18 +19,21 @@ def spec_must_be_even(spec):
     return spec * 10
 
 
-class TestProcessExecutorFailures:
+class TestProcessPoolFailures:
+    """The pool with no salvage hook: plain specs, plain results."""
+
     def test_failure_names_the_shard(self):
-        ex = ProcessExecutor(workers=2)
+        ex = SupervisedExecutor(
+            workers=2, policy=SupervisionPolicy(max_attempts=2, backoff_base_s=0.0)
+        )
         with pytest.raises(ExecutorError) as info:
             ex.map_shards(spec_must_be_even, [0, 2, 3, 4])
         message = str(info.value)
-        assert "shard 2 (3)" in message
+        assert "shard int[2] exhausted 2 attempt(s)" in message
         assert "RuntimeError: odd spec 3" in message
-        assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_clean_map_keeps_spec_order(self):
-        ex = ProcessExecutor(workers=2)
+        ex = SupervisedExecutor(workers=2)
         assert ex.map_shards(spec_must_be_even, [4, 0, 2]) == [40, 0, 20]
         assert ex.map_shards(spec_must_be_even, []) == []
 
@@ -48,28 +51,27 @@ class TestWorkerCountValidation:
 
 
 class TestSupervisedResolution:
-    def test_supervised_backend_by_name(self):
-        executor = resolve_executor("supervised", workers=3)
+    def test_process_backend_by_name(self):
+        executor = resolve_executor("process", workers=3)
         assert isinstance(executor, SupervisedExecutor)
         assert executor.workers == 3
         assert not executor.inline
-
-    def test_policy_upgrades_process_pool(self):
+        assert executor.policy == SupervisionPolicy()
         policy = SupervisionPolicy(max_attempts=5)
-        executor = resolve_executor("process", workers=2, policy=policy)
-        assert isinstance(executor, SupervisedExecutor)
-        assert executor.policy.max_attempts == 5
+        assert resolve_executor("process", workers=3, policy=policy).policy is policy
+
+    def test_supervised_is_not_a_backend(self, monkeypatch):
+        with pytest.raises(ConfigurationError, match="'serial', 'process'"):
+            resolve_executor("supervised")
+        monkeypatch.setenv(ENV_BACKEND, "supervised")
+        with pytest.raises(ConfigurationError, match="'serial', 'process'"):
+            resolve_executor()
 
     def test_policy_makes_serial_inline_supervised(self):
         executor = resolve_executor("serial", policy=SupervisionPolicy())
         assert isinstance(executor, SupervisedExecutor)
         assert executor.inline
         assert executor.workers == 1
-
-    def test_chaos_env_upgrades_process_pool(self, monkeypatch):
-        plan = ChaosPlan(faults=(ChaosFault(match="", kind="crash"),))
-        monkeypatch.setenv(ENV_CHAOS, plan.to_json())
-        assert isinstance(resolve_executor("process", workers=2), SupervisedExecutor)
 
     def test_chaos_env_leaves_serial_alone(self, monkeypatch):
         # Serial runs in-process: a crash fault would kill the test run
@@ -78,5 +80,6 @@ class TestSupervisedResolution:
         monkeypatch.setenv(ENV_CHAOS, plan.to_json())
         assert isinstance(resolve_executor("serial"), SerialExecutor)
 
-    def test_plain_process_without_policy_or_chaos(self):
-        assert isinstance(resolve_executor("process", workers=2), ProcessExecutor)
+    def test_plain_process_without_policy_or_chaos(self, monkeypatch):
+        monkeypatch.delenv(ENV_CHAOS, raising=False)
+        assert isinstance(resolve_executor("process", workers=2), SupervisedExecutor)

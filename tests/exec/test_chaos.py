@@ -10,7 +10,6 @@ from repro.exec.chaos import (
     ENV_CHAOS,
     ChaosFault,
     ChaosPlan,
-    chaos_enabled,
     corrupt_result,
     plan_from_env,
 )
@@ -110,19 +109,15 @@ class TestChaosPlan:
 class TestEnvTransport:
     def test_absent_env_means_no_plan(self):
         assert plan_from_env() is None
-        assert not chaos_enabled()
 
     def test_env_roundtrip(self, monkeypatch):
         plan = ChaosPlan(faults=(ChaosFault(match="x", kind="hang"),), seed=3)
         monkeypatch.setenv(ENV_CHAOS, plan.env()[ENV_CHAOS])
-        assert chaos_enabled()
         assert plan_from_env() == plan
 
     def test_noop_plan_in_env_reads_as_none(self, monkeypatch):
         monkeypatch.setenv(ENV_CHAOS, ChaosPlan().to_json())
         assert plan_from_env() is None
-        # chaos_enabled is the cheap presence check — it does not parse.
-        assert chaos_enabled()
 
     def test_invalid_env_raises_clearly(self, monkeypatch):
         monkeypatch.setenv(ENV_CHAOS, "{broken")
@@ -156,4 +151,4 @@ class TestCorruption:
 
     def test_all_kinds_are_spoken_for(self):
         # Guard against adding a kind without wiring its injection.
-        assert set(CHAOS_KINDS) == {"crash", "hang", "raise", "corrupt"}
+        assert set(CHAOS_KINDS) == {"crash", "oom", "hang", "raise", "corrupt"}

@@ -185,6 +185,23 @@ class TestPoolSupervision:
         assert ex.telemetry.counter("exec/worker_restarts") >= 1
         assert ex.records[0]["attempts"][0]["status"] == "crash"
 
+    def test_oom_kill_is_quarantined_without_retry(self, monkeypatch):
+        # A SIGKILL the supervisor did not send reads as the OOM killer:
+        # a same-seed retry would die the same way, so none is spent.
+        plan = ChaosPlan(faults=(ChaosFault(match="", kind="oom"),))
+        monkeypatch.setenv(ENV_CHAOS, plan.to_json())
+        ex = SupervisedExecutor(
+            workers=1,
+            policy=SupervisionPolicy(max_attempts=3, **FAST),
+            salvage=salvage_tuple,
+        )
+        [result] = ex.map_shards(job_ok, [Job(1)])
+        assert result == ("salvaged", 1, "quarantined")
+        assert [a["status"] for a in ex.records[0]["attempts"]] == ["oom"]
+        assert ex.telemetry.counter("exec/retries") == 0
+        assert ex.telemetry.counter("exec/oom") == 1
+        assert ex.telemetry.counter("exec/crashes") == 0
+
     def test_deadline_kills_hung_worker(self):
         ex = SupervisedExecutor(
             workers=1,
@@ -338,7 +355,7 @@ class TestCampaignUnderChaos:
         )
         campaign = run_campaign(
             cfg,
-            backend="process",  # chaos upgrades this to the supervised pool
+            backend="process",
             workers=2,
             policy=SupervisionPolicy(
                 shard_timeout_s=8.0,

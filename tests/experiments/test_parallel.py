@@ -16,10 +16,10 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.exec.backends import (
     ENV_BACKEND,
     ENV_WORKERS,
-    ProcessExecutor,
     SerialExecutor,
     resolve_executor,
 )
+from repro.exec.supervisor import SupervisedExecutor, SupervisionPolicy
 from repro.exec.shards import ShardKey
 from repro.experiments.campaign import CampaignConfig, run_campaign
 from repro.experiments.multirun import render_replicated_table4, run_replicated_campaign
@@ -54,6 +54,10 @@ class TestSerialProcessParity:
         process = run_campaign(cfg, backend="process", workers=2)
         assert serial.ok and process.ok
         assert_campaigns_identical(serial, process)
+        # Supervision only observes: no degradation marks, every shard
+        # ok (an ambient crash-only chaos plan recovers to ok as well).
+        assert process.flags == []
+        assert {r["outcome"] for r in process.supervision.values()} == {"ok"}
 
     def test_impaired_campaign(self):
         plan = ImpairmentPlan.preset(0.6, seed=5, duration_s=SMALL["duration_s"])
@@ -128,52 +132,27 @@ class TestRobustnessParity:
 
 
 class TestSupervisedParity:
-    """The supervised runtime is parity-bound too: with no faults the
-    supervised pool (and inline supervision) must reproduce the serial
-    campaign byte for byte — supervision may only *observe* clean runs."""
+    """Inline supervision (a serial run given a policy) is parity-bound
+    too: with no faults it must reproduce the serial campaign byte for
+    byte — supervision may only *observe* clean runs."""
 
     @pytest.fixture(autouse=True)
     def _no_ambient_chaos(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHAOS_PLAN", raising=False)
 
-    def test_clean_supervised_pool_matches_serial(self):
-        cfg = CampaignConfig(apps=TWO_APPS, **SMALL)
-        serial = run_campaign(cfg, backend="serial")
-        supervised = run_campaign(cfg, backend="supervised", workers=2)
-        assert serial.ok and supervised.ok
-        assert_campaigns_identical(serial, supervised)
-        # Clean runs leave no degradation marks, only observations.
-        assert supervised.flags == []
-        assert {r["outcome"] for r in supervised.supervision.values()} == {"ok"}
-        assert supervised.telemetry.counter("exec/retries") == 0
-
     def test_inline_supervision_matches_serial(self):
-        from repro.exec.supervisor import SupervisionPolicy
-
         cfg = CampaignConfig(apps=("tvants",), **SMALL)
         serial = run_campaign(cfg, backend="serial")
         inline = run_campaign(cfg, backend="serial", policy=SupervisionPolicy())
         assert_campaigns_identical(serial, inline)
         assert inline.supervision["tvants"]["outcome"] == "ok"
 
-    def test_impaired_supervised_matches_serial(self):
-        plan = ImpairmentPlan.preset(0.6, seed=5, duration_s=SMALL["duration_s"])
-        cfg = CampaignConfig(apps=TWO_APPS, impairment=plan, **SMALL)
-        serial = run_campaign(cfg, backend="serial")
-        supervised = run_campaign(cfg, backend="supervised", workers=2)
-        assert_campaigns_identical(serial, supervised)
-
-    def test_supervised_robustness_sweep_identical(self):
-        kwargs = dict(severities=(0.0, 0.8), duration_s=20.0, seed=3, scale=0.4)
-        serial = sweep_robustness("tvants", backend="serial", **kwargs)
-        supervised = sweep_robustness("tvants", backend="supervised", workers=2, **kwargs)
-        assert serial.points == supervised.points
-
 
 class TestSchedulerPolicyParity:
-    """Backend parity is policy-independent: serial ≡ process ≡ supervised
-    for every chunk scheduler, and the policy travels with the config
-    through shard specs, process boundaries and checkpoint bundles."""
+    """Backend parity is policy-independent: serial ≡ process (the
+    supervised pool) for every chunk scheduler, and the policy travels
+    with the config through shard specs, process boundaries and
+    checkpoint bundles."""
 
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
@@ -184,11 +163,13 @@ class TestSchedulerPolicyParity:
         cfg = CampaignConfig(apps=("tvants",), scheduler=scheduler, **SMALL)
         serial = run_campaign(cfg, backend="serial")
         process = run_campaign(cfg, backend="process", workers=2)
-        supervised = run_campaign(cfg, backend="supervised", workers=2)
-        assert serial.ok and process.ok and supervised.ok
+        assert serial.ok and process.ok
         assert serial["tvants"].result.profile.scheduler == scheduler
         assert_campaigns_identical(serial, process)
-        assert_campaigns_identical(serial, supervised)
+        # Clean runs leave no degradation marks, only observations.
+        assert process.flags == []
+        assert {r["outcome"] for r in process.supervision.values()} == {"ok"}
+        assert process.telemetry.counter("exec/retries") == 0
 
     def test_policies_actually_differ(self):
         mesh = run_campaign(
@@ -241,13 +222,6 @@ class TestShardKeys:
 
 
 class TestExecutorResolution:
-    @pytest.fixture(autouse=True)
-    def _no_ambient_chaos(self, monkeypatch):
-        # The CI chaos job exports REPRO_CHAOS_PLAN, which deliberately
-        # upgrades process resolution to the supervised pool; these tests
-        # pin down the *unsupervised* resolution rules.
-        monkeypatch.delenv("REPRO_CHAOS_PLAN", raising=False)
-
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(ENV_BACKEND, raising=False)
         monkeypatch.delenv(ENV_WORKERS, raising=False)
@@ -255,7 +229,7 @@ class TestExecutorResolution:
 
     def test_workers_imply_process(self):
         executor = resolve_executor(None, 4)
-        assert isinstance(executor, ProcessExecutor)
+        assert isinstance(executor, SupervisedExecutor)
         assert executor.workers == 4
 
     def test_explicit_backend_wins_over_env(self, monkeypatch):
@@ -266,7 +240,7 @@ class TestExecutorResolution:
         monkeypatch.setenv(ENV_BACKEND, "process")
         monkeypatch.setenv(ENV_WORKERS, "3")
         executor = resolve_executor()
-        assert isinstance(executor, ProcessExecutor)
+        assert isinstance(executor, SupervisedExecutor)
         assert executor.workers == 3
 
     def test_unknown_backend_rejected(self):
@@ -280,7 +254,7 @@ class TestExecutorResolution:
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ConfigurationError):
-            ProcessExecutor(workers=0)
+            resolve_executor("process", workers=0)
 
 
 class TestMonkeypatchPropagation:

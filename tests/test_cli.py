@@ -249,6 +249,16 @@ class TestErrorExit:
         assert err.startswith("repro-p2ptv: error:")
         assert "\n" == err[err.index("\n") :]  # exactly one line
 
+    def test_supervised_backend_exits_2_naming_choices(self, monkeypatch, capsys):
+        # The process pool is the supervised pool; there is no third name.
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", "--backend", "supervised"])
+        assert info.value.code == 2
+        assert "choose from 'serial', 'process'" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "supervised")
+        assert main(["campaign", "--apps", "tvants", "--duration", "1"]) == 2
+        assert "choose from ('serial', 'process')" in capsys.readouterr().err
+
     def test_corrupt_trace_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"not an archive")
