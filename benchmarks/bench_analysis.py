@@ -10,7 +10,7 @@ import pytest
 from repro.core.framework import AwarenessAnalyzer
 from repro.heuristics.registry import IpRegistry
 from repro.trace.flows import FlowTable, build_flow_table
-from repro.trace.packets import PacketSynthesizer
+from repro.trace.packets import PacketSynthesizer, signaling_counts
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,12 @@ def test_flow_aggregation(benchmark, pplive_run, campaign):
         campaign.world.paths,
     )
     benchmark.extra_info["transfers"] = len(result.transfers)
+    # Records aggregated: transfers plus the datagrams the signaling
+    # intervals stand for, so the summary's events/s is comparable across
+    # aggregator designs (the CI regression gate tracks it).
+    benchmark.extra_info["events"] = len(result.transfers) + int(
+        signaling_counts(result.signaling).sum()
+    )
     benchmark.extra_info["flows"] = len(table)
 
 

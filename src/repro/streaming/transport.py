@@ -95,8 +95,10 @@ class SignalingBook:
 
     Buffer-map and keepalive exchanges are periodic and dynamically inert
     (tiny packets), so instead of clogging the event queue the engine logs
-    *intervals*; :func:`repro.trace.packets.expand_signaling` later expands
-    them to timestamped transfers, vectorised.
+    *intervals*.  The flow table aggregates each interval in closed form
+    and never expands it; only the packet/pcap path expands intervals to
+    timestamped transfers (:func:`repro.trace.packets.expand_signaling`,
+    vectorised).
     """
 
     def __init__(self) -> None:

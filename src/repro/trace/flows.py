@@ -7,8 +7,11 @@ TTL (the hop estimator's signal) and first/last activity times.
 
 Two construction paths exist and agree exactly:
 
-* :func:`build_flow_table` aggregates the engine's transfer log directly
-  (fast path — no packet materialisation, used for full experiments);
+* :func:`build_flow_table` aggregates the engine's transfer log and its
+  signaling intervals directly (fast path, used for full experiments).
+  It materialises neither packets nor signaling datagrams: each interval
+  enters its flow in closed form, and every flow is one segment of a
+  single sort by pair key;
 * :meth:`FlowTable.from_packets` aggregates a packet trace (what one would
   do with a real pcap; used by tests to prove the fast path faithful).
 """
@@ -18,10 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.capture import captured_by
+from repro.trace.capture import _touch_mask
 from repro.trace.hosts import HostTable
-from repro.trace.packets import PacketSynthesizer, expand_signaling, packet_counts, transfer_gaps
-from repro.trace.records import FLOW_DTYPE, PACKET_DTYPE, TRANSFER_DTYPE, PacketKind
+from repro.trace.packets import PacketSynthesizer, packet_counts, pair_gaps, signaling_counts
+from repro.trace.records import (
+    FLOW_DTYPE,
+    PACKET_DTYPE,
+    SIGNALING_DTYPE,
+    TRANSFER_DTYPE,
+    PacketKind,
+)
 
 
 def _pair_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -118,6 +127,17 @@ def build_flow_table(
 ) -> FlowTable:
     """Aggregate an engine transfer log (+ signaling intervals) into flows.
 
+    An interval ``(src, dst, start, stop, interval, bytes)`` stands for
+    ``count`` single-datagram SIGNALING transfers at ``start + k·interval``
+    (:func:`~repro.trace.packets.signaling_counts`).  Its contribution to
+    its flow is closed-form — ``bytes·count`` bytes, ``count`` packets, no
+    video and no train, activity from ``start`` to
+    ``start + (count-1)·interval`` — so each interval is one row of the
+    sort beside the transfers, and the result equals aggregating the
+    expanded log.  A flow's min IPG is its pair's
+    :func:`~repro.trace.packets.pair_gaps` if any transfer of it carried
+    a multi-packet train, else +inf.
+
     Parameters
     ----------
     transfers / signaling:
@@ -130,55 +150,68 @@ def build_flow_table(
         safety filter.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry`; tallies the
-        records aggregated, signaling expansions, packets materialised
-        and flows produced (``trace/*`` counters of the run manifest).
+        records aggregated (signaling counted in datagrams) and what the
+        capture filter kept (``trace/*`` and ``capture/*`` counters of
+        the run manifest).
     """
     if transfers.dtype != TRANSFER_DTYPE:
         raise TraceError("build_flow_table() wants a TRANSFER_DTYPE array")
-    parts = [transfers]
-    if signaling is not None and len(signaling):
-        parts.append(expand_signaling(signaling))
-    log = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    if signaling is None or len(signaling) == 0:
+        signaling = np.empty(0, dtype=SIGNALING_DTYPE)
+    elif signaling.dtype != SIGNALING_DTYPE:
+        raise TraceError("build_flow_table() wants a SIGNALING_DTYPE signaling array")
+    counts = signaling_counts(signaling)
+    records_in = len(transfers) + int(counts.sum())
     if telemetry is not None:
         telemetry.count("trace/transfer_records", len(transfers))
-        telemetry.count("trace/signaling_records", len(log) - len(transfers))
-    if probes_only and len(log):
-        log = captured_by(log, hosts.probe_ips, telemetry=telemetry)
-    if len(log) == 0:
+        telemetry.count("trace/signaling_records", records_in - len(transfers))
+    if probes_only and records_in:
+        transfers = transfers[_touch_mask(transfers, hosts.probe_ips)]
+        kept = _touch_mask(signaling, hosts.probe_ips)
+        signaling, counts = signaling[kept], counts[kept]
+        if telemetry is not None:
+            telemetry.count("capture/records_in", records_in)
+            telemetry.count("capture/records_kept", len(transfers) + int(counts.sum()))
+    if len(transfers) + len(signaling) == 0:
         return FlowTable(np.empty(0, dtype=FLOW_DTYPE), hosts)
 
-    keys = _pair_keys(log["src"], log["dst"])
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    m = len(uniq)
-
-    pkts = packet_counts(log)
-    gaps = transfer_gaps(log, hosts)
-    video = log["kind"] == int(PacketKind.VIDEO)
-    nbytes = log["bytes"].astype(np.uint64)
-
-    flows = np.empty(m, dtype=FLOW_DTYPE)
-    flows["bytes"] = np.bincount(inverse, weights=nbytes.astype(np.float64), minlength=m)
-    flows["pkts"] = np.bincount(inverse, weights=pkts.astype(np.float64), minlength=m)
-    flows["video_bytes"] = np.bincount(
-        inverse, weights=(nbytes * video).astype(np.float64), minlength=m
+    keys = np.concatenate(
+        (
+            _pair_keys(transfers["src"], transfers["dst"]),
+            _pair_keys(signaling["src"], signaling["dst"]),
+        )
     )
-    flows["video_pkts"] = np.bincount(
-        inverse, weights=(pkts * video).astype(np.float64), minlength=m
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+    def per_flow(ufunc, of_transfers, of_signaling):
+        rows = np.concatenate((of_transfers, of_signaling))[order]
+        return ufunc.reduceat(rows, starts)
+
+    pkts = packet_counts(transfers).astype(np.uint64)
+    nbytes = transfers["bytes"].astype(np.uint64)
+    video = transfers["kind"] == int(PacketKind.VIDEO)
+    sig_pkts = counts.astype(np.uint64)
+    no_video = np.zeros(len(signaling), dtype=np.uint64)
+
+    flows = np.empty(len(starts), dtype=FLOW_DTYPE)
+    flows["src"] = (keys[starts] >> np.uint64(32)).astype(np.uint32)
+    flows["dst"] = (keys[starts] & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    flows["bytes"] = per_flow(np.add, nbytes, signaling["bytes"] * sig_pkts)
+    flows["pkts"] = per_flow(np.add, pkts, sig_pkts)
+    flows["video_bytes"] = per_flow(np.add, nbytes * video, no_video)
+    flows["video_pkts"] = per_flow(np.add, pkts * video, no_video)
+    flows["first_ts"] = per_flow(np.minimum, transfers["ts"], signaling["start"])
+    flows["last_ts"] = per_flow(
+        np.maximum,
+        transfers["ts"],
+        signaling["start"] + (counts - 1) * signaling["interval"],
     )
-
-    min_ipg = np.full(m, np.inf)
-    np.minimum.at(min_ipg, inverse, gaps)
-    flows["min_ipg"] = min_ipg
-
-    first = np.full(m, np.inf)
-    last = np.full(m, -np.inf)
-    np.minimum.at(first, inverse, log["ts"])
-    np.maximum.at(last, inverse, log["ts"])
-    flows["first_ts"] = first
-    flows["last_ts"] = last
-
-    flows["src"] = (uniq >> np.uint64(32)).astype(np.uint32)
-    flows["dst"] = (uniq & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    has_train = per_flow(np.logical_or, pkts >= 2, np.zeros(len(signaling), dtype=bool))
+    flows["min_ipg"] = np.where(
+        has_train, pair_gaps(flows["src"], flows["dst"], hosts), np.inf
+    )
 
     synth = PacketSynthesizer(hosts, paths)
     flows["ttl"] = synth.ttl_for(flows["src"], flows["dst"])

@@ -34,8 +34,8 @@ _IPG_SEED = 0x1B6
 IPG_JITTER_SPAN = 0.08
 
 
-def transfer_gaps(transfers: np.ndarray, hosts: HostTable) -> np.ndarray:
-    """Per-transfer packet spacing in seconds (inf for single-packet ones).
+def pair_gaps(src: np.ndarray, dst: np.ndarray, hosts: HostTable) -> np.ndarray:
+    """Packet spacing in seconds of a train sent ``src`` → ``dst``.
 
     The train is paced by the *sender's uplink* serialisation time.  This
     is a deliberate modelling choice (DESIGN.md §7): the paper's estimator
@@ -44,16 +44,23 @@ def transfer_gaps(transfers: np.ndarray, hosts: HostTable) -> np.ndarray:
     bursts as often as they stretch them, so the observed minimum converges
     to the uplink serialisation time even behind slower probe downlinks.
 
-    This is the exact quantity the flow aggregator uses as the transfer's
-    contribution to a flow's min-IPG, keeping both analysis paths equal.
+    The value depends on the pair alone, so the packet path (per transfer,
+    :func:`transfer_gaps`) and the flow aggregator (per flow) both call
+    this one formula and cannot drift apart.
+    """
+    up = hosts.gather(src, "up_bps")
+    base = PACKET_PAYLOAD_BYTES * BITS_PER_BYTE / up
+    jitter = 1.0 + IPG_JITTER_SPAN * pair_uniform(src, dst, _IPG_SEED)
+    return base * jitter
+
+
+def transfer_gaps(transfers: np.ndarray, hosts: HostTable) -> np.ndarray:
+    """Per-transfer packet spacing in seconds (inf for single-packet ones).
+
+    A multi-packet transfer is spaced by its pair's :func:`pair_gaps`.
     """
     npkts = packet_counts(transfers)
-    up = hosts.gather(transfers["src"], "up_bps")
-    base = PACKET_PAYLOAD_BYTES * BITS_PER_BYTE / up
-    jitter = 1.0 + IPG_JITTER_SPAN * pair_uniform(
-        transfers["src"], transfers["dst"], _IPG_SEED
-    )
-    gaps = base * jitter
+    gaps = pair_gaps(transfers["src"], transfers["dst"], hosts)
     return np.where(npkts >= 2, gaps, np.inf)
 
 
@@ -76,18 +83,20 @@ class PacketSynthesizer:
 
     def ttl_for(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Received TTL per (src, dst) pair: initial TTL − forward hops."""
-        h = self._hosts
+        rows = self._hosts.rows
+        s = self._hosts.indices_of(src)
+        d = self._hosts.indices_of(dst)
         hops = self._paths.hops_many(
             src,
-            h.gather(src, "asn"),
-            h.gather(src, "subnet"),
-            h.gather(src, "access_depth"),
+            rows["asn"][s],
+            rows["subnet"][s],
+            rows["access_depth"][s],
             dst,
-            h.gather(dst, "asn"),
-            h.gather(dst, "subnet"),
-            h.gather(dst, "access_depth"),
+            rows["asn"][d],
+            rows["subnet"][d],
+            rows["access_depth"][d],
         )
-        ttl = h.gather(src, "initial_ttl").astype(np.int64) - hops
+        ttl = rows["initial_ttl"][s].astype(np.int64) - hops
         if np.any(ttl <= 0):
             raise TraceError("path longer than initial TTL; topology inconsistent")
         return ttl.astype(np.uint8)
@@ -125,21 +134,43 @@ class PacketSynthesizer:
         return out[np.argsort(out["ts"], kind="stable")]
 
 
+def signaling_counts(intervals: np.ndarray) -> np.ndarray:
+    """Datagrams per signaling interval: ``floor((stop-start)/interval) + 1``.
+
+    Raises :class:`TraceError` naming how many rows are malformed (an
+    interval that is not a positive finite number, a non-finite start or
+    stop, or ``stop < start``).  The engine never writes such rows; a
+    bundle read from disk can carry them.
+    """
+    start = intervals["start"]
+    stop = intervals["stop"]
+    interval = intervals["interval"]
+    ok = np.isfinite(start) & np.isfinite(stop) & (stop >= start)
+    ok &= np.isfinite(interval) & (interval > 0)
+    bad = len(intervals) - int(np.count_nonzero(ok))
+    if bad:
+        raise TraceError(
+            f"{bad} of {len(intervals)} signaling interval rows are malformed "
+            "(need finite start <= stop and a finite interval > 0)"
+        )
+    return np.floor((stop - start) / interval).astype(np.int64) + 1
+
+
 def expand_signaling(intervals: np.ndarray) -> np.ndarray:
     """Expand periodic signaling intervals into individual transfers.
 
     Each interval ``(src, dst, start, stop, interval, bytes)`` becomes
-    ``floor((stop-start)/interval) + 1`` SIGNALING transfers at
-    ``start + k·interval``.  Bottleneck is irrelevant for single small
-    datagrams and set to +inf.
+    :func:`signaling_counts` SIGNALING transfers at ``start + k·interval``.
+    Bottleneck is irrelevant for single small datagrams and set to +inf.
+    Only the packet path needs this; the flow aggregator takes the
+    intervals as they are.
     """
     if intervals.dtype != SIGNALING_DTYPE:
         raise TraceError("expand_signaling() wants a SIGNALING_DTYPE array")
     n = len(intervals)
     if n == 0:
         return np.empty(0, dtype=TRANSFER_DTYPE)
-    spans = intervals["stop"] - intervals["start"]
-    counts = np.floor(spans / intervals["interval"]).astype(np.int64) + 1
+    counts = signaling_counts(intervals)
     total = int(counts.sum())
     owner = np.repeat(np.arange(n), counts)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))

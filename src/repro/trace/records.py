@@ -40,7 +40,8 @@ TRANSFER_DTYPE = np.dtype(
     ]
 )
 
-#: A periodic signaling relationship (expanded to transfers lazily).
+#: A periodic signaling relationship.  The flow table aggregates it in
+#: closed form; only the packet path expands it to transfers.
 SIGNALING_DTYPE = np.dtype(
     [
         ("src", "u4"),

@@ -258,6 +258,24 @@ class TestCheckpointResume:
         assert not campaign["tvants"].from_checkpoint
         assert [f.stage for f in campaign.failures] == ["checkpoint"]
 
+    def test_malformed_signaling_checkpoint_is_an_analyze_failure(self, tmp_path):
+        """A resumed bundle whose signaling carries a zero interval fails
+        the flow table with a TraceError: the shard lands in the ledger
+        at the analyze stage instead of crashing the campaign."""
+        cfg = CampaignConfig(apps=("tvants",), checkpoint_dir=str(tmp_path), **SMALL)
+        assert run_campaign(cfg).ok
+        path = campaign_mod._checkpoint_path(cfg, "tvants")
+        bundle = load_trace_bundle(path)
+        bundle.signaling = bundle.signaling.copy()
+        bundle.signaling["interval"][0] = 0.0
+        save_trace_bundle(path, bundle)
+
+        resumed = run_campaign(cfg)
+        assert resumed.failed_apps == ["tvants"]
+        [failure] = resumed.failures
+        assert failure.stage == "analyze"
+        assert "1 of" in failure.error and "malformed" in failure.error
+
 
 class TestValidationGate:
     def test_healthy_run_passes_gate(self):

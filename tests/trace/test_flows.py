@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
+from repro.obs.telemetry import Telemetry
 from repro.trace.capture import captured_by
-from repro.trace.flows import FlowTable, build_flow_table
+from repro.trace.flows import FlowTable, _pair_keys, build_flow_table
 from repro.trace.packets import PacketSynthesizer, expand_signaling
-from repro.trace.records import FLOW_DTYPE
+from repro.trace.records import FLOW_DTYPE, SIGNALING_DTYPE, TRANSFER_DTYPE, PacketKind
+from tests.trace.flow_oracle import oracle_flow_table
 
 
 class TestBuildFlowTable:
@@ -61,6 +63,21 @@ class TestBuildFlowTable:
                 sim_small.world.paths,
             )
 
+    @pytest.mark.parametrize("carrier", ["transfers", "signaling"])
+    def test_unknown_address_rejected(self, sim_small, carrier):
+        """Every captured address is resolved against the host table,
+        whether its flow came from a transfer or only from signaling."""
+        transfers = sim_small.transfers[:50].copy()
+        signaling = sim_small.signaling[:50].copy()
+        rows = transfers if carrier == "transfers" else signaling
+        stranger = np.uint32(int(sim_small.hosts.rows["ip"].max()) + 1)
+        rows["src"][0] = sim_small.probe_ips[0]  # captured
+        rows["dst"][0] = stranger
+        with pytest.raises(TraceError, match="not in host table"):
+            build_flow_table(
+                transfers, signaling, sim_small.hosts, sim_small.world.paths
+            )
+
     def test_empty_log(self, sim_small):
         table = build_flow_table(
             np.empty(0, dtype=sim_small.transfers.dtype),
@@ -69,6 +86,142 @@ class TestBuildFlowTable:
             sim_small.world.paths,
         )
         assert len(table) == 0
+
+
+def _random_log(sim, seed: int):
+    """A seeded log over ``sim``'s hosts, built to exercise every grouping case.
+
+    Pairs mix probe and remote endpoints (some touch no probe, so the
+    capture filter drops them).  Transfers are drawn from the first two
+    thirds of the pairs in random time order, intervals from the last two
+    thirds — so some pairs carry both, some only signaling.  Video sizes
+    span zero, sub-MTU (single packet, no train) and multi-packet chunks.
+    """
+    n_pairs, n_transfers, n_intervals = 40, 3000, 120
+    rng = np.random.default_rng(seed)
+
+    def endpoints():
+        probes = rng.choice(sim.hosts.probe_ips, n_pairs)
+        anyone = rng.choice(sim.hosts.rows["ip"], n_pairs)
+        return np.where(rng.random(n_pairs) < 0.5, probes, anyone)
+
+    src, dst = endpoints(), endpoints()
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    m = len(src)
+
+    pick = rng.integers(0, (2 * m) // 3, n_transfers)
+    transfers = np.empty(n_transfers, dtype=TRANSFER_DTYPE)
+    transfers["ts"] = rng.uniform(0.0, 60.0, n_transfers)
+    transfers["src"] = src[pick]
+    transfers["dst"] = dst[pick]
+    transfers["kind"] = rng.choice(
+        [int(PacketKind.SIGNALING), int(PacketKind.VIDEO), int(PacketKind.CONTROL)],
+        n_transfers,
+    )
+    transfers["bytes"] = rng.choice([0, 80, 1250, 1251, 2500, 14000], n_transfers)
+    transfers["bottleneck"] = rng.uniform(1e5, 1e8, n_transfers)
+
+    pick = rng.integers(m // 3, m, n_intervals)
+    intervals = np.empty(n_intervals, dtype=SIGNALING_DTYPE)
+    intervals["src"] = src[pick]
+    intervals["dst"] = dst[pick]
+    intervals["start"] = rng.uniform(0.0, 60.0, n_intervals)
+    span = rng.uniform(0.0, 30.0, n_intervals)
+    span[::7] = 0.0  # single-datagram intervals
+    intervals["stop"] = intervals["start"] + span
+    intervals["interval"] = rng.uniform(0.3, 4.0, n_intervals)
+    intervals["bytes"] = rng.integers(40, 200, n_intervals)
+    return transfers, intervals
+
+
+class TestAgainstOracle:
+    """The one-pass aggregator equals the per-row expand-and-group oracle:
+    byte-identical flow arrays and equal telemetry counters."""
+
+    @staticmethod
+    def assert_same(sim, transfers, signaling, probes_only):
+        fast_tel, oracle_tel = Telemetry(), Telemetry()
+        args = (transfers, signaling, sim.hosts, sim.world.paths)
+        fast = build_flow_table(*args, probes_only=probes_only, telemetry=fast_tel)
+        oracle = oracle_flow_table(*args, probes_only=probes_only, telemetry=oracle_tel)
+        assert fast.flows.tobytes() == oracle.flows.tobytes()
+        assert fast_tel.counters == oracle_tel.counters
+        return fast
+
+    @pytest.mark.parametrize("probes_only", [True, False])
+    def test_sim_small(self, sim_small, probes_only):
+        table = self.assert_same(
+            sim_small, sim_small.transfers, sim_small.signaling, probes_only
+        )
+        assert len(table) > 0
+
+    @pytest.mark.parametrize("probes_only", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_logs(self, sim_small, seed, probes_only):
+        transfers, intervals = _random_log(sim_small, seed)
+        assert np.any(np.diff(transfers["ts"]) < 0)  # not time-sorted
+        table = self.assert_same(sim_small, transfers, intervals, probes_only)
+        pairs = set(zip(table.flows["src"].tolist(), table.flows["dst"].tolist()))
+        t_pairs = set(zip(transfers["src"].tolist(), transfers["dst"].tolist()))
+        s_pairs = set(zip(intervals["src"].tolist(), intervals["dst"].tolist()))
+        assert pairs & t_pairs & s_pairs  # pairs carrying both
+        assert (pairs & s_pairs) - t_pairs  # signaling-only pairs
+        assert (len(pairs) < len(t_pairs | s_pairs)) == probes_only  # capture drops some
+
+    @pytest.mark.parametrize("probes_only", [True, False])
+    def test_single_packet_video(self, sim_small, probes_only):
+        transfers, intervals = _random_log(sim_small, 3)
+        transfers["kind"] = int(PacketKind.VIDEO)
+        transfers["bytes"] = np.minimum(transfers["bytes"], 1250)
+        table = self.assert_same(sim_small, transfers, intervals, probes_only)
+        assert np.all(np.isinf(table.flows["min_ipg"]))
+        assert np.any(table.flows["video_pkts"] > 0)
+
+    @pytest.mark.parametrize("probes_only", [True, False])
+    @pytest.mark.parametrize("empty", ["signaling", "transfers", "both"])
+    def test_empty_inputs(self, sim_small, probes_only, empty):
+        transfers, intervals = _random_log(sim_small, 4)
+        if empty in ("transfers", "both"):
+            transfers = transfers[:0]
+        if empty in ("signaling", "both"):
+            intervals = intervals[:0]
+        self.assert_same(sim_small, transfers, intervals, probes_only)
+        if empty == "signaling":
+            self.assert_same(sim_small, transfers, None, probes_only)
+
+
+_BAD_INTERVALS = {
+    "zero-interval": dict(interval=0.0),
+    "nan-interval": dict(interval=np.nan),
+    "negative-interval": dict(interval=-1.0),
+    "stop-before-start": dict(start=10.0, stop=5.0),
+}
+
+
+class TestMalformedIntervals:
+    """Malformed rows from a loaded bundle raise a named TraceError (a
+    ReproError the campaign ledger traps), never a bare ValueError."""
+
+    @pytest.fixture(params=sorted(_BAD_INTERVALS))
+    def bad_intervals(self, request, sim_small):
+        intervals = sim_small.signaling[:3].copy()
+        for field, value in _BAD_INTERVALS[request.param].items():
+            intervals[1][field] = value
+        return intervals
+
+    def test_expand_signaling(self, bad_intervals):
+        with pytest.raises(TraceError, match="1 of 3 signaling interval rows"):
+            expand_signaling(bad_intervals)
+
+    def test_build_flow_table(self, sim_small, bad_intervals):
+        with pytest.raises(TraceError, match="1 of 3 signaling interval rows"):
+            build_flow_table(
+                sim_small.transfers,
+                bad_intervals,
+                sim_small.hosts,
+                sim_small.world.paths,
+            )
 
 
 class TestDirectionalSelectors:
@@ -128,6 +281,48 @@ class TestPacketPathEquivalence:
         f = np.sort(fast.flows, order=["src", "dst"])
         s = np.sort(slow.flows, order=["src", "dst"])
         assert np.array_equal(f["ttl"], s["ttl"])
+
+    @pytest.fixture(scope="class")
+    def with_signaling(self, sim_small):
+        """The same probe with its captured signaling intervals: expanded
+        to datagrams on the packet path, taken as intervals on the fast
+        path.  The transfers of a few signaling pairs are dropped, so
+        those pairs become signaling-only flows."""
+        probe = np.uint32(sim_small.probe_ips[3])
+        sig = sim_small.signaling
+        intervals = sig[(sig["src"] == probe) | (sig["dst"] == probe)]
+        quiet = np.unique(_pair_keys(intervals["src"], intervals["dst"]))[:5]
+        tr = sim_small.transfers
+        mask = (tr["src"] == probe) | (tr["dst"] == probe)
+        mask &= ~np.isin(_pair_keys(tr["src"], tr["dst"]), quiet)
+        transfers = tr[mask][:3000]
+        fast = build_flow_table(
+            transfers,
+            intervals,
+            sim_small.hosts,
+            sim_small.world.paths,
+            probes_only=False,
+        )
+        synth = PacketSynthesizer(sim_small.hosts, sim_small.world.paths)
+        log = np.concatenate((transfers, expand_signaling(intervals)))
+        slow = FlowTable.from_packets(synth.expand(log), sim_small.hosts)
+        signaling_only = set(zip(intervals["src"].tolist(), intervals["dst"].tolist()))
+        signaling_only -= set(zip(transfers["src"].tolist(), transfers["dst"].tolist()))
+        return fast, slow, signaling_only
+
+    def test_signaling_leg_matches_packet_path(self, with_signaling):
+        fast, slow, signaling_only = with_signaling
+        assert signaling_only
+        f = np.sort(fast.flows, order=["src", "dst"])
+        s = np.sort(slow.flows, order=["src", "dst"])
+        assert np.array_equal(f[["src", "dst"]], s[["src", "dst"]])
+        for field in ("bytes", "pkts", "video_bytes", "ttl"):
+            assert np.array_equal(f[field], s[field]), field
+        sig_only = np.array(
+            [(int(a), int(b)) in signaling_only for a, b in zip(f["src"], f["dst"])]
+        )
+        assert np.all(np.isinf(f["min_ipg"][sig_only]))
+        assert np.all(np.isinf(s["min_ipg"][sig_only]))
 
     def test_equivalent_bw_classification(self, both):
         # min IPG values may differ slightly (the packet path can observe
