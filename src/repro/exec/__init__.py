@@ -12,7 +12,7 @@ Layout:
 * :mod:`repro.exec.shards`   — picklable shard specs/outcomes and the
   shard-key → RNG-seed discipline;
 * :mod:`repro.exec.context`  — the per-process cache of the shared
-  world/testbed/registry construction;
+  world/testbed construction and the per-run address registry;
 * :mod:`repro.exec.worker`   — ``run_shard``, the per-shard pipeline
   (checkpoint → simulate → impair → validate → analyze → checkpoint);
 * :mod:`repro.exec.backends` — the executor protocol and backend

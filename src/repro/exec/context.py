@@ -1,17 +1,19 @@
 """Per-process cache of the shared experiment substrate.
 
-Building the synthetic Internet, deploying the Table I testbed on it and
-deriving the address registry is pure in the :class:`WorldConfig` — every
-process that replays the construction gets the identical object graph.
-This module builds that *pristine* triple once per process and serves:
+Building the synthetic Internet and deploying the Table I testbed on it is
+pure in the :class:`WorldConfig` — every process that replays the
+construction gets the identical object graph.  This module builds that
+*pristine* pair once per process and serves:
 
 * :func:`shard_context` — a **fresh copy** of the world/testbed per shard
   (simulation mutates the world's subnet allocator while placing the
   remote swarm, so shards must not share one mutable world — that would
   make results depend on execution order, the one thing a parallel
-  executor cannot promise), plus the shared read-only registry;
+  executor cannot promise);
 * :func:`campaign_context` — a fresh copy for the returned
-  :class:`~repro.experiments.campaign.Campaign` itself.
+  :class:`~repro.experiments.campaign.Campaign` itself;
+* :func:`analysis_registry` — the address registry one run's flows are
+  analysed with.
 
 The copy is ~15× cheaper than construction (measured: ≈5 ms vs ≈75 ms),
 so a worker that executes many shards pays the build cost once.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import copy
 
 from repro.heuristics.registry import IpRegistry
+from repro.trace.hosts import HostTable
 from repro.topology.testbed import Testbed, build_napa_wine_testbed
 from repro.topology.world import World, WorldConfig
 
@@ -29,37 +32,25 @@ from repro.topology.world import World, WorldConfig
 #: filled lazily per process.  Worker processes inherit an empty cache on
 #: spawn and a warm one on fork; either way entries are deterministic, so
 #: sharing is safe.
-_PRISTINE: dict[WorldConfig, tuple[World, Testbed, IpRegistry]] = {}
+_PRISTINE: dict[WorldConfig, tuple[World, Testbed]] = {}
 
 
-def _pristine(config: WorldConfig | None) -> tuple[World, Testbed, IpRegistry]:
+def _pristine(config: WorldConfig | None) -> tuple[World, Testbed]:
     cfg = config or WorldConfig()
     cached = _PRISTINE.get(cfg)
     if cached is None:
         world = World(cfg)
-        testbed = build_napa_wine_testbed(world)
-        cached = (world, testbed, IpRegistry.from_world(world))
+        cached = (world, build_napa_wine_testbed(world))
         _PRISTINE[cfg] = cached
     return cached
 
 
-def shard_context(
-    config: WorldConfig | None = None,
-) -> tuple[World, Testbed, IpRegistry]:
-    """A private world/testbed copy for one shard, plus the shared registry.
-
-    The registry (IP prefix → AS/country) is derived from the address
-    blocks allocated at world build time, which simulation never touches,
-    so one instance serves every shard read-only.
-    """
-    world, testbed, registry = _pristine(config)
-    world_copy, testbed_copy = copy.deepcopy((world, testbed))
-    return world_copy, testbed_copy, registry
+def shard_context(config: WorldConfig | None = None) -> tuple[World, Testbed]:
+    """A private world/testbed copy for one shard."""
+    return copy.deepcopy(_pristine(config))
 
 
-def campaign_context(
-    config: WorldConfig | None = None,
-) -> tuple[World, Testbed, IpRegistry]:
+def campaign_context(config: WorldConfig | None = None) -> tuple[World, Testbed]:
     """A private world/testbed copy for a :class:`Campaign` object.
 
     Kept separate from the pristine cache entry so downstream consumers
@@ -67,6 +58,21 @@ def campaign_context(
     later campaigns.
     """
     return shard_context(config)
+
+
+def analysis_registry(hosts: HostTable, world: World) -> IpRegistry:
+    """The address registry to resolve one run's flows against.
+
+    Built from the run's own host table (the GeoIP-style exact-address
+    DB) rather than the world's prefix plan: swarm placement may attach
+    overflow prefixes a pristine world has never seen (paper-scale
+    populations exhaust per-AS /16s), and a checkpoint-resumed shard
+    never replays that allocation at all.  Same AS/CC ground truth
+    either way.
+    """
+    return IpRegistry.from_hosts(
+        hosts, subnet_prefixlen=world.config.subnet_prefixlen
+    )
 
 
 def clear_context_cache() -> None:

@@ -26,8 +26,7 @@ import sys
 from dataclasses import replace
 
 from repro.errors import ReproError
-from repro.exec.context import shard_context
-from repro.heuristics.registry import IpRegistry
+from repro.exec.context import analysis_registry, shard_context
 from repro.exec.shards import ShardOutcome, ShardSpec
 from repro.obs.log import get_logger
 from repro.obs.telemetry import Telemetry
@@ -184,7 +183,7 @@ def run_shard(spec: ShardSpec) -> ShardOutcome:
     failures: list = []
     _log.debug("shard-start", shard=str(key))
     with tel.timer("shard"):
-        world, testbed, _ = shard_context()
+        world, testbed = shard_context()
         profile = _shard_profile(spec)
 
         result = None
@@ -221,16 +220,7 @@ def run_shard(spec: ShardSpec) -> ShardOutcome:
                     world.paths,
                     telemetry=tel,
                 )
-                # Resolve addresses against the experiment's own host
-                # table (the GeoIP-style exact-address DB) rather than
-                # the pristine prefix plan: swarm placement may attach
-                # overflow prefixes the pristine registry has never seen
-                # (mega-scale populations exhaust per-AS /16s), and a
-                # checkpoint-resumed shard never replays that allocation
-                # at all.  Same AS/CC ground truth either way.
-                registry = IpRegistry.from_hosts(
-                    result.hosts, subnet_prefixlen=world.config.subnet_prefixlen
-                )
+                registry = analysis_registry(result.hosts, world)
                 report = campaign_mod.AwarenessAnalyzer(registry).analyze(
                     flows, telemetry=tel
                 )

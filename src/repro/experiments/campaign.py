@@ -416,7 +416,7 @@ def run_campaign(
     )
     with tel.timer("campaign"):
         with tel.timer("context"):
-            world, testbed, _ = campaign_context()
+            world, testbed = campaign_context()
         campaign = Campaign(
             config=cfg, world=world, testbed=testbed, telemetry=tel
         )

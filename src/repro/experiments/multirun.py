@@ -154,7 +154,7 @@ def run_replicated_campaign(
     if isinstance(exec_tel, Telemetry):
         out.telemetry.merge(exec_tel)
     for r, cfg in enumerate(configs):
-        world, testbed, _ = campaign_context()
+        world, testbed = campaign_context()
         campaign = Campaign(config=cfg, world=world, testbed=testbed)
         for spec, outcome in zip(specs, outcomes):
             if spec.key.replica == r:

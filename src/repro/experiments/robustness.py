@@ -27,7 +27,7 @@ from repro.core.framework import AwarenessAnalyzer
 from repro.core.quality import QualityFlag
 from repro.errors import AnalysisError
 from repro.exec.backends import resolve_executor
-from repro.exec.context import shard_context
+from repro.exec.context import analysis_registry, shard_context
 from repro.faults.plan import ImpairmentPlan, simulate_impaired
 from repro.obs.telemetry import Telemetry
 from repro.streaming.profiles import get_profile
@@ -120,7 +120,7 @@ def run_severity_shard(shard: SeverityShard) -> RobustnessPoint:
     """
     tel = Telemetry()
     with tel.timer("severity_shard"):
-        world, testbed, registry = shard_context()
+        world, testbed = shard_context()
         profile = get_profile(shard.app)
         if shard.scale != 1.0:
             profile = profile.scaled(shard.scale)
@@ -146,6 +146,7 @@ def run_severity_shard(shard: SeverityShard) -> RobustnessPoint:
                 world.paths,
                 telemetry=tel,
             )
+            registry = analysis_registry(result.hosts, world)
             analysis = AwarenessAnalyzer(registry).analyze(flows, telemetry=tel)
     bw, as_np, hop_np = _headline(analysis)
     return RobustnessPoint(

@@ -1,21 +1,21 @@
 """Churn faults: storms (mass departures) and flash crowds (mass joins).
 
-The baseline :class:`~repro.population.churn.ChurnProcess` draws smooth
-Poisson arrivals and log-normal sessions.  Real broadcasts see *events*:
-an ISP outage or a boring half drains the swarm in seconds (a storm); a
-goal or a channel switch floods it (a flash crowd).  Both are expressed
-as post-transforms of a materialised churn process, so the engine stays
-oblivious: it consumes (join, leave) intervals exactly as before.
+The baseline churn model (:func:`~repro.population.churn.draw_session_bounds`)
+draws smooth Poisson arrivals and log-normal sessions.  Real broadcasts
+see *events*: an ISP outage or a boring half drains the swarm in seconds
+(a storm); a goal or a channel switch floods it (a flash crowd).  Both are
+expressed as rewrites of the drawn (join, leave) columns, so the engine
+stays oblivious: it consumes the columns exactly as before.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import FaultInjectionError
-from repro.population.churn import ChurnProcess, Session
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,6 +32,8 @@ class ChurnStorm:
     leave_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.at_s) and math.isfinite(self.duration_s)):
+            raise FaultInjectionError("storm window must be finite")
         if self.at_s < 0 or self.duration_s <= 0:
             raise FaultInjectionError("storm window must be positive and start at t >= 0")
         if not 0.0 <= self.leave_fraction <= 1.0:
@@ -52,6 +54,8 @@ class FlashCrowd:
     mean_stay_s: float = 120.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.at_s) and math.isfinite(self.mean_stay_s)):
+            raise FaultInjectionError("flash crowd start and mean stay must be finite")
         if self.at_s < 0:
             raise FaultInjectionError("flash crowd must start at t >= 0")
         if not 0.0 <= self.join_fraction <= 1.0:
@@ -61,22 +65,25 @@ class FlashCrowd:
 
 
 def apply_churn_events(
-    churn: ChurnProcess,
+    joins: np.ndarray,
+    leaves: np.ndarray,
+    horizon: float,
     storms: tuple[ChurnStorm, ...],
     crowds: tuple[FlashCrowd, ...],
     rng: np.random.Generator,
-) -> ChurnProcess:
-    """Overlay storms and flash crowds on a materialised churn process.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overlay storms and flash crowds on drawn ``(joins, leaves)`` columns.
 
-    Events apply in time order.  A peer keeps at most one session (the
-    baseline model's invariant): storms can only shorten sessions, flash
-    crowds can only pull not-yet-joined peers forward — nobody rejoins.
+    Returns new columns (the inputs are not modified; with no events they
+    are returned as they are).  Events apply in time order.  A peer keeps
+    at most one session (the baseline model's invariant): storms can only
+    shorten sessions, flash crowds can only pull not-yet-joined peers
+    forward — nobody rejoins.
     """
     if not storms and not crowds:
-        return churn
-    joins = np.array([s.join for s in churn.sessions], dtype=np.float64)
-    leaves = np.array([s.leave for s in churn.sessions], dtype=np.float64)
-    horizon = churn.horizon
+        return joins, leaves
+    joins = np.array(joins, dtype=np.float64)
+    leaves = np.array(leaves, dtype=np.float64)
 
     events: list[tuple[float, object]] = [(s.at_s, s) for s in storms]
     events += [(c.at_s, c) for c in crowds]
@@ -98,9 +105,5 @@ def apply_churn_events(
                 stays = rng.exponential(event.mean_stay_s, size=n)
                 leaves[hit] = np.minimum(at + stays, horizon)
 
-    leaves = np.maximum(leaves, joins)  # clipping can never invert a session
-    sessions = [
-        Session(peer_id=s.peer_id, join=float(j), leave=float(l))
-        for s, j, l in zip(churn.sessions, joins, leaves)
-    ]
-    return ChurnProcess(sessions, horizon)
+    # Clipping can never invert a session.
+    return joins, np.maximum(leaves, joins)

@@ -125,8 +125,10 @@ class ImpairmentPlan:
             )
         if self.storms or self.flash_crowds:
             storms, crowds = self.storms, self.flash_crowds
-            overrides["churn_transform"] = lambda churn, rng: apply_churn_events(
-                churn, storms, crowds, rng
+            overrides["churn_transform"] = (
+                lambda joins, leaves, horizon, rng: apply_churn_events(
+                    joins, leaves, horizon, storms, crowds, rng
+                )
             )
         return replace(base, **overrides) if overrides else base
 

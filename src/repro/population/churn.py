@@ -6,34 +6,18 @@ window: a fraction of the swarm is present from the start (tuned-in before
 the capture began), the rest arrive as a Poisson process; session lengths
 are log-normal with a heavy tail (the "stable peers" of the literature).
 
-The churn process is materialised up-front into per-peer (join, leave)
-intervals so the event engine can consume it without further randomness.
+The churn process is materialised up-front into aligned (join, leave)
+columns so the event engine can consume it without further randomness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-
-@dataclass(frozen=True, slots=True)
-class Session:
-    """One peer's online interval within the experiment window."""
-
-    peer_id: int
-    join: float
-    leave: float
-
-    def online_at(self, t: float) -> bool:
-        """True when the peer is online at time ``t``."""
-        return self.join <= t < self.leave
-
-    @property
-    def duration(self) -> float:
-        return self.leave - self.join
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,10 +41,10 @@ class ChurnConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.initial_fraction <= 1:
             raise ConfigurationError("initial_fraction must be in [0, 1]")
-        if self.mean_session_s <= 0:
-            raise ConfigurationError("mean_session_s must be positive")
-        if self.sigma <= 0:
-            raise ConfigurationError("sigma must be positive")
+        if not (math.isfinite(self.mean_session_s) and self.mean_session_s > 0):
+            raise ConfigurationError("mean_session_s must be finite and positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigurationError("sigma must be finite and positive")
 
 
 def draw_session_bounds(
@@ -69,16 +53,15 @@ def draw_session_bounds(
     config: ChurnConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``(joins, leaves)`` columns for ``n`` peers over ``[0, horizon]``.
+    """Draw one session per peer over ``[0, horizon]`` as ``(joins, leaves)``.
 
-    The columnar core of :meth:`ChurnProcess.generate` — paper-scale swarms
-    consume these arrays directly instead of a ``Session`` object per peer.
-    The draw sequence (uniform mask, uniform joins, log-normal durations)
-    is shared with the object path, so both yield identical schedules for
-    a given generator state.
+    Initially-online peers start at 0; late joiners arrive uniformly over
+    the window (a Poisson process conditioned on the arrival count).
+    Sessions are clipped to the horizon.  Draw sequence: the initial-mask
+    uniforms, the join uniforms, the log-normal durations.
     """
-    if horizon <= 0:
-        raise ConfigurationError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ConfigurationError(f"horizon must be finite and positive, got {horizon}")
     initial = rng.random(n) < config.initial_fraction
     joins = np.where(initial, 0.0, rng.uniform(0.0, horizon, size=n))
     # Log-normal with the requested mean: mean = exp(mu + sigma^2/2).
@@ -86,48 +69,3 @@ def draw_session_bounds(
     durations = rng.lognormal(mean=mu, sigma=config.sigma, size=n)
     leaves = np.minimum(joins + durations, horizon)
     return joins, leaves
-
-
-class ChurnProcess:
-    """Materialised join/leave schedule for a peer population."""
-
-    def __init__(self, sessions: list[Session], horizon: float) -> None:
-        self.sessions = sessions
-        self.horizon = horizon
-        self._by_peer = {s.peer_id: s for s in sessions}
-
-    @classmethod
-    def generate(
-        cls,
-        peer_ids: list[int],
-        horizon: float,
-        config: ChurnConfig,
-        rng: np.random.Generator,
-    ) -> "ChurnProcess":
-        """Draw one session per peer over ``[0, horizon]``.
-
-        Initially-online peers start at 0; late joiners arrive uniformly
-        over the window (a Poisson process conditioned on the arrival
-        count).  Sessions are clipped to the horizon.
-        """
-        joins, leaves = draw_session_bounds(len(peer_ids), horizon, config, rng)
-        sessions = [
-            Session(peer_id=pid, join=float(j), leave=float(l))
-            for pid, j, l in zip(peer_ids, joins, leaves)
-        ]
-        return cls(sessions, horizon)
-
-    def session_of(self, peer_id: int) -> Session:
-        """The session of one peer."""
-        return self._by_peer[peer_id]
-
-    def online_at(self, t: float) -> list[int]:
-        """Peer ids online at time ``t``."""
-        return [s.peer_id for s in self.sessions if s.online_at(t)]
-
-    def online_count_at(self, t: float) -> int:
-        """Number of peers online at time ``t``."""
-        return sum(1 for s in self.sessions if s.online_at(t))
-
-    def __len__(self) -> int:
-        return len(self.sessions)

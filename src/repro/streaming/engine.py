@@ -23,16 +23,15 @@ import numpy as np
 from repro.config import RngBundle
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.log import get_logger
-from repro.population.churn import ChurnProcess, draw_session_bounds
+from repro.population.churn import draw_session_bounds
 from repro.population.demographics import (
     Demographics,
     cctv1_audience,
     crossswarm_audience,
 )
-from repro.population.generator import PopulationConfig, RemotePeer, generate_population
+from repro.population.generator import PopulationConfig, SwarmColumns, generate_population
 from repro.population.sparse import (
     ScoreRowCache,
-    SparseSwarm,
     SparseSwarmConfig,
     generate_sparse_swarm,
 )
@@ -175,10 +174,11 @@ class EngineConfig:
     #: ``request_loss_prob`` — impairment plans fold the scalar in as the
     #: schedule's GOOD-state floor.
     request_loss_schedule: object | None = None
-    #: Optional churn post-transform ``(ChurnProcess, rng) -> ChurnProcess``
-    #: applied to the generated remote-peer sessions, drawing from the
-    #: engine's ``fault_churn`` RNG stream (churn storms / flash crowds —
-    #: see :mod:`repro.faults.churn`).
+    #: Optional churn post-transform
+    #: ``(joins, leaves, horizon, rng) -> (joins, leaves)`` applied to the
+    #: drawn remote-peer session columns, drawing from the engine's
+    #: ``fault_churn`` RNG stream (churn storms / flash crowds — see
+    #: :mod:`repro.faults.churn`).
     churn_transform: object | None = None
 
     def __post_init__(self) -> None:
@@ -396,7 +396,7 @@ class Engine:
         world: World,
         testbed: Testbed,
         profile: AppProfile,
-        population: list[RemotePeer],
+        population: SwarmColumns,
         config: EngineConfig,
     ) -> None:
         self.world = world
@@ -459,119 +459,78 @@ class Engine:
         self._thr_blocks: dict[int, np.ndarray] = {}
 
     # ----------------------------------------------------------- directory
-    def _build_directory(self, population: "list[RemotePeer] | SparseSwarm") -> None:
-        """Flatten remotes + probes into aligned attribute arrays.
+    def _build_directory(self, cols: SwarmColumns) -> None:
+        """Lay remotes + probes out as aligned attribute arrays.
 
         Global index space: remotes occupy ``[0, R)``, probes ``[R, R+P)``.
-        A dense population (list of :class:`RemotePeer`) is flattened
-        object-by-object; a :class:`~repro.population.sparse.SparseSwarm`
-        contributes its columns directly — no per-remote objects exist at
-        any point on that path.
+        The remote block is the population's columns as drawn; the probes
+        are appended from their endpoints.
         """
         probes = [h.endpoint for h in self.testbed.hosts]
         self.n_probe = len(probes)
         if self.n_probe == 0:
             raise SimulationError("testbed has no probes")
 
-        if isinstance(population, SparseSwarm):
-            cols = population.columns()
-            self.n_remote = len(cols)
-            n = self.n_remote + self.n_probe
-            self._ip = np.concatenate(
-                [cols.ip, np.array([e.ip for e in probes], dtype=np.uint32)]
-            )
-            self._asn = np.concatenate(
-                [cols.asn, np.array([e.asn for e in probes], dtype=np.int32)]
-            )
-            cc_codes = sorted(set(cols.cc.tolist()) | {e.country_code for e in probes})
-            self._cc_labels = cc_codes
-            labels = np.array(cc_codes, dtype="U2")
-            cc_index = {c: i for i, c in enumerate(cc_codes)}
-            self._cc = np.concatenate(
-                [
-                    np.searchsorted(labels, cols.cc).astype(np.int16),
-                    np.array([cc_index[e.country_code] for e in probes], dtype=np.int16),
-                ]
-            )
-            self._subnet = np.concatenate(
-                [cols.subnet, np.array([e.subnet for e in probes], dtype=np.uint32)]
-            )
-            self._up = np.concatenate(
-                [cols.up_bps, np.array([e.access.up_bps for e in probes])]
-            )
-            self._down = np.concatenate(
-                [cols.down_bps, np.array([e.access.down_bps for e in probes])]
-            )
-            self._highbw = np.concatenate(
-                [cols.highbw, np.array([e.access.is_high_bandwidth for e in probes], dtype=bool)]
-            )
-            self._firewalled = np.concatenate(
-                [cols.firewalled, np.array([e.access.firewall for e in probes], dtype=bool)]
-            )
-            self._initial_ttl = np.concatenate(
-                [cols.initial_ttl, np.array([e.initial_ttl for e in probes], dtype=np.uint8)]
-            )
-            self._access_depth = np.concatenate(
-                [
-                    cols.access_depth,
-                    np.array([ACCESS_DEPTH[e.access.kind] for e in probes], dtype=np.uint8),
-                ]
-            )
-        else:
-            remotes = [r.endpoint for r in population]
-            endpoints = remotes + probes
-            self.n_remote = len(remotes)
-            n = len(endpoints)
-            self._ip = np.array([e.ip for e in endpoints], dtype=np.uint32)
-            self._asn = np.array([e.asn for e in endpoints], dtype=np.int32)
-            cc_codes = sorted({e.country_code for e in endpoints})
-            self._cc_labels = cc_codes
-            cc_index = {c: i for i, c in enumerate(cc_codes)}
-            self._cc = np.array(
-                [cc_index[e.country_code] for e in endpoints], dtype=np.int16
-            )
-            self._subnet = np.array([e.subnet for e in endpoints], dtype=np.uint32)
-            self._up = np.array([e.access.up_bps for e in endpoints], dtype=np.float64)
-            self._down = np.array([e.access.down_bps for e in endpoints], dtype=np.float64)
-            self._highbw = np.array(
-                [e.access.is_high_bandwidth for e in endpoints], dtype=bool
-            )
-            self._firewalled = np.array([e.access.firewall for e in endpoints], dtype=bool)
-            self._initial_ttl = np.array([e.initial_ttl for e in endpoints], dtype=np.uint8)
-            self._access_depth = np.array(
-                [ACCESS_DEPTH[e.access.kind] for e in endpoints], dtype=np.uint8
-            )
+        self.n_remote = len(cols)
+        n = self.n_remote + self.n_probe
+        self._ip = np.concatenate(
+            [cols.ip, np.array([e.ip for e in probes], dtype=np.uint32)]
+        )
+        self._asn = np.concatenate(
+            [cols.asn, np.array([e.asn for e in probes], dtype=np.int32)]
+        )
+        cc_codes = sorted(set(cols.cc.tolist()) | {e.country_code for e in probes})
+        self._cc_labels = cc_codes
+        labels = np.array(cc_codes, dtype="U2")
+        cc_index = {c: i for i, c in enumerate(cc_codes)}
+        self._cc = np.concatenate(
+            [
+                np.searchsorted(labels, cols.cc).astype(np.int16),
+                np.array([cc_index[e.country_code] for e in probes], dtype=np.int16),
+            ]
+        )
+        self._subnet = np.concatenate(
+            [cols.subnet, np.array([e.subnet for e in probes], dtype=np.uint32)]
+        )
+        self._up = np.concatenate(
+            [cols.up_bps, np.array([e.access.up_bps for e in probes])]
+        )
+        self._down = np.concatenate(
+            [cols.down_bps, np.array([e.access.down_bps for e in probes])]
+        )
+        self._highbw = np.concatenate(
+            [cols.highbw, np.array([e.access.is_high_bandwidth for e in probes], dtype=bool)]
+        )
+        self._firewalled = np.concatenate(
+            [cols.firewalled, np.array([e.access.firewall for e in probes], dtype=bool)]
+        )
+        self._initial_ttl = np.concatenate(
+            [cols.initial_ttl, np.array([e.initial_ttl for e in probes], dtype=np.uint8)]
+        )
+        self._access_depth = np.concatenate(
+            [
+                cols.access_depth,
+                np.array([ACCESS_DEPTH[e.access.kind] for e in probes], dtype=np.uint8),
+            ]
+        )
         self._is_probe = np.zeros(n, dtype=bool)
         self._is_probe[self.n_remote :] = True
 
         # Sessions: remotes churn, probes stay for the whole experiment.
         self._join = np.full(n, 0.0)
         self._leave = np.full(n, self.config.duration_s)
+        joins, leaves = draw_session_bounds(
+            self.n_remote,
+            self.config.duration_s,
+            self.profile.churn,
+            self._rngs["churn"],
+        )
         if self.config.churn_transform is not None:
-            # Fault transforms operate on Session objects; this path stays
-            # object-based (impairment studies run at dense scales).
-            churn = ChurnProcess.generate(
-                list(range(self.n_remote)),
-                self.config.duration_s,
-                self.profile.churn,
-                self._rngs["churn"],
+            joins, leaves = self.config.churn_transform(
+                joins, leaves, self.config.duration_s, self._rngs["fault_churn"]
             )
-            churn = self.config.churn_transform(churn, self._rngs["fault_churn"])
-            for s in churn.sessions:
-                self._join[s.peer_id] = s.join
-                self._leave[s.peer_id] = s.leave
-        else:
-            # Columnar draw — same RNG consumption and IEEE values as the
-            # Session-object path (ChurnProcess.generate wraps this same
-            # function), without 10^5 Session objects at paper scale.
-            joins, leaves = draw_session_bounds(
-                self.n_remote,
-                self.config.duration_s,
-                self.profile.churn,
-                self._rngs["churn"],
-            )
-            self._join[: self.n_remote] = joins
-            self._leave[: self.n_remote] = leaves
+        self._join[: self.n_remote] = joins
+        self._leave[: self.n_remote] = leaves
 
         self.availability = RemoteAvailability(
             self.clock,
@@ -1726,7 +1685,7 @@ def simulate(
             demographics = base
     rngs = RngBundle(config.seed)
     if profile.swarm == "sparse":
-        population: "list[RemotePeer] | SparseSwarm" = generate_sparse_swarm(
+        population = generate_sparse_swarm(
             world,
             SparseSwarmConfig(size=profile.swarm_size, demographics=demographics),
             rngs["population"],

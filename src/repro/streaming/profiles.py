@@ -46,11 +46,12 @@ class AppProfile:
     eu_audience_boost: float = 1.0
     #: Fraction of probe-country remotes placed inside campus ASes.
     probe_as_fraction: float = 0.25
-    #: Swarm representation: ``"dense"`` materialises one RemotePeer object
-    #: per remote (the legacy directory, pinned by the golden hashes);
-    #: ``"sparse"`` holds the population as numpy columns generated in
-    #: seeded blocks (:mod:`repro.population.sparse`) — required beyond
-    #: ~10^4 peers.
+    #: Swarm generator: ``"dense"`` draws peer by peer in the legacy
+    #: order the golden hashes pin (:mod:`repro.population.generator`);
+    #: ``"sparse"`` draws fixed-width seeded blocks
+    #: (:mod:`repro.population.sparse`) — the only one fast enough beyond
+    #: ~10^4 peers.  Both hand the engine the same column layout; they
+    #: draw different swarms, so the knob changes results.
     swarm: str = "dense"
     #: Audience demographics: ``"cctv1"`` (the paper's CN-dominated channel)
     #: or ``"crossswarm"`` (the Western-centric cross-swarm-study mix).

@@ -338,3 +338,21 @@ class TestRobustnessSweep:
         assert report.points[1].bad_time_fraction > 0.0
         text = render_robustness(report)
         assert "ROBUSTNESS" in text and "max drift" in text
+
+    def test_paper_scale_addresses_resolve(self):
+        """A 1.8×10^5-peer swarm overflows per-AS prefixes, so placement
+        attaches prefixes a pristine world never saw; the severity shard
+        must resolve addresses against the run's own host table, like a
+        campaign shard does."""
+        import math
+
+        from repro.experiments.robustness import SeverityShard, run_severity_shard
+
+        point = run_severity_shard(
+            SeverityShard(
+                app="napa-scale", severity=0.0, duration_s=10.0,
+                seed=7, fault_seed=1, scale=1.0,
+            )
+        )
+        assert math.isfinite(point.as_byte_pct_nonprobe)
+        assert not [f for f in point.flags if f.code == "metric-error"]

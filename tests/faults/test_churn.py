@@ -1,20 +1,32 @@
-"""Churn storms and flash crowds over a materialised churn process."""
+"""Churn storms and flash crowds over drawn (join, leave) columns."""
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.errors import FaultInjectionError
 from repro.faults.churn import ChurnStorm, FlashCrowd, apply_churn_events
-from repro.population.churn import ChurnProcess, Session
+from repro.faults.plan import ImpairmentPlan
+from repro.streaming.engine import EngineConfig, simulate
+from repro.streaming.profiles import get_profile
+
+from tests.golden.regen_engine import full_digests
+
+HORIZON = 100.0
 
 
-def make_churn(horizon: float = 100.0) -> ChurnProcess:
+def make_churn() -> tuple[np.ndarray, np.ndarray]:
     """Ten peers: five online from the start, five joining late."""
-    sessions = [Session(peer_id=i, join=0.0, leave=horizon) for i in range(5)]
-    sessions += [
-        Session(peer_id=5 + i, join=80.0, leave=horizon) for i in range(5)
-    ]
-    return ChurnProcess(sessions, horizon)
+    joins = np.array([0.0] * 5 + [80.0] * 5)
+    return joins, np.full(10, HORIZON)
+
+
+def apply(storms=(), crowds=(), rng=None):
+    joins, leaves = make_churn()
+    rng = rng if rng is not None else np.random.default_rng(0)
+    return (joins, leaves), apply_churn_events(joins, leaves, HORIZON, storms, crowds, rng)
 
 
 class TestValidation:
@@ -30,63 +42,142 @@ class TestValidation:
         with pytest.raises(FaultInjectionError):
             FlashCrowd(at_s=10.0, mean_stay_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "event, kw",
+        [
+            (ChurnStorm, {"at_s": math.nan}),
+            (ChurnStorm, {"at_s": math.inf}),
+            (ChurnStorm, {"at_s": 10.0, "duration_s": math.nan}),
+            (ChurnStorm, {"at_s": 10.0, "duration_s": math.inf}),
+            (ChurnStorm, {"at_s": 10.0, "leave_fraction": math.nan}),
+            (FlashCrowd, {"at_s": math.nan}),
+            (FlashCrowd, {"at_s": math.nan, "mean_stay_s": math.nan}),
+            (FlashCrowd, {"at_s": 10.0, "mean_stay_s": math.nan}),
+            (FlashCrowd, {"at_s": 10.0, "mean_stay_s": math.inf}),
+            (FlashCrowd, {"at_s": 10.0, "join_fraction": math.nan}),
+        ],
+    )
+    def test_non_finite_rejected(self, event, kw):
+        with pytest.raises(FaultInjectionError):
+            event(**kw)
+
 
 class TestStorm:
     def test_full_storm_empties_online_set(self, rng):
-        churn = make_churn()
-        storm = ChurnStorm(at_s=20.0, duration_s=10.0, leave_fraction=1.0)
-        out = apply_churn_events(churn, (storm,), (), rng)
+        (joins, _), (_, out_leaves) = apply(
+            (ChurnStorm(at_s=20.0, duration_s=10.0, leave_fraction=1.0),), rng=rng
+        )
         # Every peer online at t=20 leaves inside [20, 30).
-        hit = [s for s in out.sessions if s.join <= 20.0]
-        assert all(20.0 <= s.leave < 30.0 for s in hit)
+        hit = joins <= 20.0
+        assert np.all((20.0 <= out_leaves[hit]) & (out_leaves[hit] < 30.0))
         # Late joiners (join=80) are untouched.
-        late = [s for s in out.sessions if s.join > 20.0]
-        assert all(s.leave == churn.horizon for s in late)
+        assert np.all(out_leaves[~hit] == HORIZON)
 
     def test_storm_never_lengthens_sessions(self, rng):
-        churn = make_churn()
-        storm = ChurnStorm(at_s=20.0, duration_s=10.0, leave_fraction=0.7)
-        out = apply_churn_events(churn, (storm,), (), rng)
-        for before, after in zip(churn.sessions, out.sessions):
-            assert after.leave <= before.leave
-            assert after.join == before.join
+        (joins, leaves), (out_joins, out_leaves) = apply(
+            (ChurnStorm(at_s=20.0, duration_s=10.0, leave_fraction=0.7),), rng=rng
+        )
+        assert np.all(out_leaves <= leaves)
+        assert np.array_equal(out_joins, joins)
 
 
 class TestFlashCrowd:
     def test_crowd_pulls_joins_forward(self, rng):
-        churn = make_churn()
-        crowd = FlashCrowd(at_s=40.0, join_fraction=1.0, mean_stay_s=30.0)
-        out = apply_churn_events(churn, (), (crowd,), rng)
-        late = [s for s in out.sessions if s.peer_id >= 5]
-        assert all(s.join == 40.0 for s in late)
-        assert all(s.leave >= s.join for s in out.sessions)
+        _, (out_joins, out_leaves) = apply(
+            crowds=(FlashCrowd(at_s=40.0, join_fraction=1.0, mean_stay_s=30.0),), rng=rng
+        )
+        assert np.all(out_joins[5:] == 40.0)
+        assert np.all(out_leaves >= out_joins)
 
     def test_noop_plan_returns_same_object(self, rng):
-        churn = make_churn()
-        assert apply_churn_events(churn, (), (), rng) is churn
+        joins, leaves = make_churn()
+        out = apply_churn_events(joins, leaves, HORIZON, (), (), rng)
+        assert out[0] is joins and out[1] is leaves
 
 
 class TestInvariants:
     def test_sessions_never_inverted(self, rng):
-        churn = make_churn()
-        out = apply_churn_events(
-            churn,
+        (joins, leaves), (out_joins, out_leaves) = apply(
             (ChurnStorm(at_s=10.0, duration_s=20.0, leave_fraction=0.9),),
             (FlashCrowd(at_s=50.0, join_fraction=0.9, mean_stay_s=10.0),),
             rng,
         )
-        assert len(out.sessions) == len(churn.sessions)
-        for s in out.sessions:
-            assert s.join <= s.leave <= churn.horizon
+        assert out_joins.shape == out_leaves.shape == joins.shape
+        assert np.all((out_joins <= out_leaves) & (out_leaves <= HORIZON))
+        # The inputs are left as drawn.
+        assert np.array_equal((joins, leaves), make_churn())
 
     def test_deterministic(self):
-        churn = make_churn()
         events = (
             (ChurnStorm(at_s=10.0, leave_fraction=0.5),),
             (FlashCrowd(at_s=50.0, join_fraction=0.5),),
         )
-        a = apply_churn_events(churn, *events, np.random.default_rng(3))
-        b = apply_churn_events(churn, *events, np.random.default_rng(3))
-        assert [(s.join, s.leave) for s in a.sessions] == [
-            (s.join, s.leave) for s in b.sessions
-        ]
+        _, a = apply(*events, np.random.default_rng(3))
+        _, b = apply(*events, np.random.default_rng(3))
+        assert np.array_equal(a, b)
+
+
+#: Full digests of two engine runs under ``ImpairmentPlan.preset(1.0)``
+#: (bursty loss plus a churn storm and a flash crowd), recorded when the
+#: engine still replayed churn through one session object per peer.  The
+#: column rewrite must reproduce them byte for byte.
+IMPAIRED_CASES = {
+    # name: (app, swarm size or None for the profile's own, duration, seed)
+    "tvants-120": ("tvants", None, 120.0, 7),
+    "napa-1200-60": ("napa-scale", 1200, 60.0, 7),
+}
+IMPAIRED_DIGESTS = {
+    "napa-1200-60": {
+        "dispatch_by_kind": {
+            "chunk_arrival": 21039, "demand_rebalance": 4, "discovery": 685,
+            "partner_refresh": 139, "remote_pull": 5781, "tick_cohort": 150,
+        },
+        "events": 27798,
+        "hosts": "66f5f22a09162e79f042732749d03089fb5c8b68327c54d22b1b3ed8455f8cda",
+        "schedule_by_kind": {
+            "chunk_arrival": 21052, "demand_rebalance": 5, "discovery": 731,
+            "partner_refresh": 185, "remote_pull": 5781, "tick_cohort": 151,
+        },
+        "signaling": "05273d41e6bda25fa7d25c034bef9293616d821270834af7847e5126a24e72aa",
+        "transfers": "c2d82b050108f0d018d68ab9d7c2a89d8ed8aab7a76c2b4f15ea0aca6f600de2",
+    },
+    "tvants-120": {
+        "dispatch_by_kind": {
+            "chunk_arrival": 16223, "demand_rebalance": 7, "discovery": 460,
+            "partner_refresh": 185, "remote_pull": 19346, "tick": 13795,
+        },
+        "events": 50016,
+        "hosts": "9e9de8debf99d0df530b5ff512faeeb6fda0231bb330183fad1ed6bfd4d2427d",
+        "schedule_by_kind": {
+            "chunk_arrival": 16239, "demand_rebalance": 8, "discovery": 506,
+            "partner_refresh": 231, "remote_pull": 19346, "tick": 13841,
+        },
+        "signaling": "f559a4861425c604c8ebdd698007c461fab50ac631b3e9a991a766332d887f58",
+        "transfers": "903a4dae9dbb90ab8b33e433e9e6d6d03e78fcae6235342d5fad0504702c18db",
+    },
+}
+
+
+class TestImpairedGolden:
+    """Storms and flash crowds through the engine, dense and sparse."""
+
+    @pytest.mark.parametrize("name", sorted(IMPAIRED_CASES))
+    def test_impaired_run_matches_recorded_digests(self, name):
+        app, size, duration_s, seed = IMPAIRED_CASES[name]
+        profile = get_profile(app)
+        if size is not None:
+            profile = profile.scaled_swarm(size)
+        plan = ImpairmentPlan.preset(1.0, duration_s=duration_s)
+        config = plan.engine_config(EngineConfig(duration_s=duration_s, seed=seed))
+        rewrote = []
+
+        def spy(joins, leaves, horizon, rng):
+            out = config.churn_transform(joins, leaves, horizon, rng)
+            rewrote.append(
+                not (np.array_equal(out[0], joins) and np.array_equal(out[1], leaves))
+            )
+            return out
+
+        result = simulate(profile, engine_config=replace(config, churn_transform=spy))
+        assert rewrote == [True]  # the events really moved sessions
+        assert full_digests(result) == IMPAIRED_DIGESTS[name]

@@ -5,8 +5,19 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.population.demographics import Demographics, cctv1_audience
-from repro.population.generator import PopulationConfig, generate_population
+from repro.population.generator import (
+    KIND_DSL,
+    KIND_FTTH,
+    KIND_LAN,
+    PopulationConfig,
+    SwarmColumns,
+    generate_population,
+)
 from repro.topology.world import PROBE_AS_NUMBERS, World
+
+from tests.population.endpoint_view import assert_derivations_match
+
+CAMPUS_ASNS = sorted({asn for asn, _ in PROBE_AS_NUMBERS.values()})
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +43,9 @@ class TestConfig:
             PopulationConfig(size=10, unix_fraction=2.0)
 
     def test_zero_size_ok(self, pop_world):
-        assert _gen(pop_world, size=0) == []
+        cols = _gen(pop_world, size=0)
+        assert isinstance(cols, SwarmColumns)
+        assert len(cols) == 0
 
 
 class TestComposition:
@@ -40,60 +53,60 @@ class TestComposition:
         assert len(_gen(pop_world)) == 600
 
     def test_unique_ids_and_ips(self, pop_world):
-        peers = _gen(pop_world)
-        assert len({p.peer_id for p in peers}) == len(peers)
-        assert len({p.endpoint.ip for p in peers}) == len(peers)
+        # Peer ids are row indices; addresses must not collide.
+        cols = _gen(pop_world)
+        assert len(np.unique(cols.ip)) == len(cols)
 
     def test_china_dominates(self, pop_world):
-        peers = _gen(pop_world)
-        cn = sum(1 for p in peers if p.endpoint.country_code == "CN")
-        assert cn / len(peers) > 0.5
+        cols = _gen(pop_world)
+        assert np.mean(cols.cc == "CN") > 0.5
 
     def test_highbw_fraction_plausible(self, pop_world):
-        peers = _gen(pop_world, size=1500)
-        frac = np.mean([p.is_high_bandwidth for p in peers])
-        assert 0.2 < frac < 0.55
+        cols = _gen(pop_world, size=1500)
+        assert 0.2 < cols.highbw.mean() < 0.55
 
     def test_some_campus_civilians(self, pop_world):
-        peers = _gen(pop_world, size=1500)
-        campus_asns = {asn for asn, _ in PROBE_AS_NUMBERS.values()}
-        in_campus = [p for p in peers if p.endpoint.asn in campus_asns]
-        assert len(in_campus) > 0
+        cols = _gen(pop_world, size=1500)
+        in_campus = np.isin(cols.asn, CAMPUS_ASNS)
+        assert in_campus.any()
         # Campus civilians belong to probe countries only.
-        assert all(
-            p.endpoint.country_code in ("IT", "FR", "HU", "PL") for p in in_campus
-        )
+        assert set(np.unique(cols.cc[in_campus])) <= {"IT", "FR", "HU", "PL"}
 
     def test_probe_as_fraction_zero_means_no_civilians(self, pop_world):
-        peers = _gen(pop_world, size=800, probe_as_fraction=0.0)
-        campus_asns = {asn for asn, _ in PROBE_AS_NUMBERS.values()}
-        assert not any(p.endpoint.asn in campus_asns for p in peers)
+        cols = _gen(pop_world, size=800, probe_as_fraction=0.0)
+        assert not np.isin(cols.asn, CAMPUS_ASNS).any()
 
     def test_ttl_mix(self, pop_world):
-        peers = _gen(pop_world, size=1500)
-        ttls = {p.endpoint.initial_ttl for p in peers}
-        assert 128 in ttls
-        unix = sum(1 for p in peers if p.endpoint.initial_ttl == 64)
-        assert 0 < unix / len(peers) < 0.15
+        cols = _gen(pop_world, size=1500)
+        assert 128 in set(cols.initial_ttl.tolist())
+        assert 0 < np.mean(cols.initial_ttl == 64) < 0.15
 
     def test_deterministic(self):
-        w1, w2 = World(), World()
-        p1 = _gen(w1, seed=9)
-        p2 = _gen(w2, seed=9)
-        assert [p.endpoint.ip for p in p1] == [p.endpoint.ip for p in p2]
+        a = _gen(World(), seed=9)
+        b = _gen(World(), seed=9)
+        for name in SwarmColumns.__dataclass_fields__:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_seed_changes_population(self):
-        w1, w2 = World(), World()
-        p1 = _gen(w1, seed=1)
-        p2 = _gen(w2, seed=2)
-        assert [p.endpoint.country_code for p in p1] != [
-            p.endpoint.country_code for p in p2
-        ]
+        a = _gen(World(), seed=1)
+        b = _gen(World(), seed=2)
+        assert not np.array_equal(a.cc, b.cc)
 
     def test_country_without_isp_falls_back(self, pop_world):
         demo = Demographics(country_weights={"CN": 1.0, "BR": 50.0})
-        peers = generate_population(
+        cols = generate_population(
             pop_world, PopulationConfig(size=50, demographics=demo),
             np.random.default_rng(0),
         )
-        assert len(peers) == 50  # BR has an ISP in the default world; no crash
+        assert len(cols) == 50  # BR has an ISP in the default world; no crash
+
+
+class TestFidelity:
+    def test_columns_match_object_model(self):
+        world = World()
+        cols = _gen(world, size=1500)
+        assert_derivations_match(cols, world.config.subnet_prefixlen)
+        # The dense access plans: LAN, NATed FTTH and DSL only.
+        assert set(np.unique(cols.kind).tolist()) <= {KIND_LAN, KIND_DSL, KIND_FTTH}
+        assert cols.nat[cols.kind == KIND_FTTH].all()
+        assert not cols.firewalled.any()

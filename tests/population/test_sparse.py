@@ -1,16 +1,15 @@
-"""Sparse swarm columns, lazy blocks and the alias sampler.
+"""Sparse swarm columns, seeded blocks and the alias sampler.
 
-The sparse representation's contract has three legs:
+The sparse generator's contract has three legs:
 
 * **determinism** — columns are a pure function of the single root draw
-  (plus size and block size), independent of materialisation order;
-* **laziness** — touching block *b* materialises blocks ``0..b`` and
-  nothing beyond, and the whole population costs tens of bytes per peer,
-  not the ~1 kB of the object directory;
-* **fidelity** — the object view (:meth:`SparseSwarm.peers`) and the
-  columns describe the same peers, and the drawn *distributions* match
-  the dense generator's rules (access plans, campus placement, TTL mix)
-  even though the streams differ.
+  (plus size and block size), drawn block by block in index order;
+* **footprint** — the whole population costs tens of bytes per peer,
+  not the ~1 kB of an object per peer;
+* **fidelity** — the derived columns agree with the object model
+  (``tests/population/endpoint_view.py``), and the drawn *distributions*
+  match the dense generator's rules (access plans, campus placement, TTL
+  mix) even though the streams differ.
 
 :class:`AliasTable` is pinned separately: the engine's tracker sampler
 uses the algebraically-equivalent two-valued fast path, so the general
@@ -21,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.population.demographics import cctv1_audience
+from repro.config import RngBundle
+from repro.population.demographics import cctv1_audience, crossswarm_audience
 from repro.population.sparse import (
     DEFAULT_BLOCK_SIZE,
     AliasTable,
@@ -31,6 +31,8 @@ from repro.population.sparse import (
 )
 from repro.streaming.profiles import get_profile
 from repro.topology.world import PROBE_AS_NUMBERS, World
+
+from tests.population.endpoint_view import assert_derivations_match, endpoints
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +62,9 @@ class TestConfig:
             SparseSwarmConfig(size=10, block_size=0)
 
     def test_zero_size_ok(self, sparse_world):
-        swarm = _swarm(sparse_world, size=0)
-        assert len(swarm) == 0
-        assert len(swarm.columns()) == 0
+        cols = _swarm(sparse_world, size=0)
+        assert len(cols) == 0
+        assert cols.ip.dtype == np.uint32
 
 
 class TestDeterminism:
@@ -78,71 +80,68 @@ class TestDeterminism:
         assert rng_a.integers(0, 2**31) == rng_b.integers(0, 2**31)
 
     def test_same_seed_same_columns(self):
-        a = _swarm(World(), seed=7).columns()
-        b = _swarm(World(), seed=7).columns()
+        a = _swarm(World(), seed=7)
+        b = _swarm(World(), seed=7)
         for name in type(a).__dataclass_fields__:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
-    def test_materialisation_order_irrelevant(self):
+    def test_leading_blocks_independent_of_size(self):
+        """Per-block seeds and index-order drawing: a swarm's leading full
+        blocks — addresses included — do not depend on how many blocks
+        follow them."""
         # Fresh worlds: IP assignment advances per-AS subnet cursors, so
         # two swarms sharing one world would differ for that reason alone.
-        eager = _swarm(World(), seed=5)
-        lazy = _swarm(World(), seed=5)
-        eager_cols = eager.columns()          # all blocks, front to back
-        lazy.block(lazy.n_blocks - 1)         # jump straight to the tail
-        lazy_cols = lazy.columns()
-        assert np.array_equal(eager_cols.ip, lazy_cols.ip)
-        assert np.array_equal(eager_cols.up_bps, lazy_cols.up_bps)
+        big = _swarm(World(), seed=5, size=5000, block_size=1024)
+        small = _swarm(World(), seed=5, size=3000, block_size=1024)
+        for name in type(big).__dataclass_fields__:
+            assert np.array_equal(
+                getattr(big, name)[:2048], getattr(small, name)[:2048]
+            ), name
 
     def test_block_size_is_part_of_identity(self):
-        a = _swarm(World(), seed=5, block_size=512).columns()
-        b = _swarm(World(), seed=5, block_size=1024).columns()
+        a = _swarm(World(), seed=5, block_size=512)
+        b = _swarm(World(), seed=5, block_size=1024)
         assert not np.array_equal(a.up_bps, b.up_bps)
 
 
 class TestLaziness:
-    def test_blocks_materialise_on_demand(self, sparse_world):
-        swarm = _swarm(sparse_world, size=5000, block_size=1024)
-        assert swarm.n_blocks == 5
-        assert swarm.materialised_blocks == 0
-        swarm.block(2)
-        assert swarm.materialised_blocks == 3  # 0..2, nothing beyond
-        swarm.block(0)
-        assert swarm.materialised_blocks == 3
-
-    def test_block_out_of_range_rejected(self, sparse_world):
-        swarm = _swarm(sparse_world, size=100, block_size=64)
-        with pytest.raises(ConfigurationError):
-            swarm.block(swarm.n_blocks)
+    """The footprint the columns exist for (the class keeps its name from
+    when blocks were drawn on first touch)."""
 
     def test_memory_per_peer_is_tens_of_bytes(self, sparse_world):
-        swarm = _swarm(sparse_world, size=20_000, block_size=DEFAULT_BLOCK_SIZE)
-        per_peer = swarm.columns().nbytes / len(swarm)
-        assert per_peer < 100  # the object directory costs ~1 kB/peer
+        cols = _swarm(sparse_world, size=20_000, block_size=DEFAULT_BLOCK_SIZE)
+        per_peer = cols.nbytes / len(cols)
+        assert per_peer < 100  # an object per peer costs ~1 kB
 
 
 class TestFidelity:
     def test_object_view_matches_columns(self, sparse_world):
-        swarm = _swarm(sparse_world, size=600)
-        cols = swarm.columns()
-        peers = swarm.peers()
-        assert len(peers) == len(cols) == 600
-        for i in (0, 17, 599):
-            p = peers[i]
-            assert p.endpoint.ip == int(cols.ip[i])
-            assert p.endpoint.asn == int(cols.asn[i])
-            assert p.endpoint.country_code == str(cols.cc[i])
-            assert p.endpoint.access.up_bps == float(cols.up_bps[i])
-            assert p.endpoint.access.nat == bool(cols.nat[i])
-            assert p.endpoint.initial_ttl == int(cols.initial_ttl[i])
-            assert p.endpoint.subnet == int(cols.subnet[i])
+        cols = _swarm(sparse_world, size=600)
+        assert len(cols) == 600
+        assert_derivations_match(cols, sparse_world.config.subnet_prefixlen)
+
+    def test_representations_share_population_identity(self):
+        """The object view and the columns describe one draw — same IPs,
+        same link plans (checked under the cross-swarm audience the
+        napa-scale profile uses)."""
+        world = World()
+        demo = crossswarm_audience(probe_as_fraction=0.005)
+        cols = generate_sparse_swarm(
+            world,
+            SparseSwarmConfig(size=500, demographics=demo),
+            RngBundle(7)["population"],
+        )
+        view = endpoints(cols, world.config.subnet_prefixlen)
+        assert [e.ip for e in view] == cols.ip.tolist()
+        assert [e.access.up_bps for e in view] == cols.up_bps.tolist()
+        assert_derivations_match(cols, world.config.subnet_prefixlen)
 
     def test_unique_ips(self, sparse_world):
-        cols = _swarm(sparse_world, size=5000).columns()
+        cols = _swarm(sparse_world, size=5000)
         assert len(np.unique(cols.ip)) == len(cols)
 
     def test_demographics_rules_hold(self, sparse_world):
-        cols = _swarm(sparse_world, size=8000).columns()
+        cols = _swarm(sparse_world, size=8000)
         cn = np.mean(cols.cc == "CN")
         assert cn > 0.5  # CCTV-1 audience is China-dominated
         unix = np.mean(cols.initial_ttl == 64)
@@ -154,7 +153,7 @@ class TestFidelity:
 
     def test_probe_as_fraction_zero_means_no_campus(self, sparse_world):
         demo = cctv1_audience(probe_as_fraction=0.0)
-        cols = _swarm(sparse_world, size=4000, demographics=demo).columns()
+        cols = _swarm(sparse_world, size=4000, demographics=demo)
         campus_asns = {asn for asn, _ in PROBE_AS_NUMBERS.values()}
         assert not np.isin(cols.asn, sorted(campus_asns)).any()
 

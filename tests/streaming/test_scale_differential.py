@@ -1,20 +1,12 @@
-"""Paper-scale differential suite: representation and reference invariance.
+"""Paper-scale differential suite: reference agreement at mid-scale.
 
-Two claims make the napa-scale profile trustworthy:
-
-* **Representation independence** — a :class:`SparseSwarm` and its own
-  ``peers()`` object view describe the same population, so an engine fed
-  either must emit byte-identical traces.  This is the sparse ≡ dense
-  contract at a size where the object directory is still affordable.
-* **Reference agreement** — under the full napa-scale feature set
-  (sparse columns, cross-swarm audience, alias-sampled discovery, cohort
-  ticking, the 1 Mbps HD channel) the engine reproduces, mid-scale, every
-  digest the retired object core recorded for the same runs
-  (``tests/golden/object_reference_hashes.json``), lazy peer state
-  included.
-
-Both are checked through full digests: transfer rows, signaling rows,
-host rows, total events processed and the per-kind dispatch counters.
+Under the full napa-scale feature set (sparse columns, cross-swarm
+audience, alias-sampled discovery, cohort ticking, the 1 Mbps HD channel)
+the engine reproduces, mid-scale, every digest the retired object core
+recorded for the same runs (``tests/golden/object_reference_hashes.json``),
+lazy peer state included.  Checked through full digests: transfer rows,
+signaling rows, host rows, total events processed and the per-kind
+dispatch counters.
 """
 
 import json
@@ -30,7 +22,6 @@ from repro.streaming.profiles import get_profile
 from repro.topology.testbed import build_napa_wine_testbed
 from repro.config import RngBundle
 from repro.topology.world import World
-from repro.trace.store import trace_digest
 
 from tests.golden.regen_engine import (
     NAPA_REFERENCE_CASES,
@@ -39,16 +30,6 @@ from tests.golden.regen_engine import (
     run_engine_golden,
     run_napa_case,
 )
-
-
-def _digest(res):
-    return {
-        "transfers": trace_digest(res.transfers),
-        "signaling": trace_digest(res.signaling),
-        "hosts": trace_digest(res.hosts.rows),
-        "events": res.events_processed,
-        "dispatch": res.extras["engine_stats"]["dispatch_by_kind"],
-    }
 
 
 def _napa(size):
@@ -60,51 +41,23 @@ def reference():
     return json.loads(OBJECT_REFERENCE_PATH.read_text())
 
 
-def _run_with_population(profile, representation, *, seed, duration_s):
-    """Simulate with the population passed as columns or as objects.
+def _run_columns(profile, *, seed, duration_s):
+    """Simulate with the population step made explicit.
 
-    Rebuilds :func:`simulate`'s plumbing with the population step made
-    explicit, so the two representations of one drawn swarm can be fed to
-    otherwise-identical engines.  Worlds are rebuilt per run — IP
-    assignment advances per-AS cursors, so sharing one would entangle the
-    populations.
+    Rebuilds :func:`simulate`'s plumbing: the sparse swarm is drawn on a
+    fresh world and its columns go straight into ``Engine(world, testbed,
+    profile, population, config)``.
     """
     world = World()
     testbed = build_napa_wine_testbed(world)
     demo = crossswarm_audience(probe_as_fraction=profile.probe_as_fraction)
-    swarm = generate_sparse_swarm(
+    population = generate_sparse_swarm(
         world,
         SparseSwarmConfig(size=profile.swarm_size, demographics=demo),
         RngBundle(seed)["population"],
     )
-    population = swarm if representation == "sparse" else swarm.peers()
     config = EngineConfig(duration_s=duration_s, seed=seed)
     return Engine(world, testbed, profile, population, config).run()
-
-
-class TestRepresentationIndependence:
-    """SparseSwarm columns ≡ its RemotePeer view, byte for byte."""
-
-    def test_sparse_equals_dense_small_n(self):
-        profile = _napa(800)
-        kw = dict(seed=7, duration_s=60.0)
-        sparse = _digest(_run_with_population(profile, "sparse", **kw))
-        dense = _digest(_run_with_population(profile, "dense", **kw))
-        assert sparse == dense
-
-    def test_representations_share_population_identity(self):
-        """Both views come from one draw — same IPs, same link plans."""
-        world = World()
-        demo = crossswarm_audience(probe_as_fraction=0.005)
-        swarm = generate_sparse_swarm(
-            world,
-            SparseSwarmConfig(size=500, demographics=demo),
-            RngBundle(7)["population"],
-        )
-        cols = swarm.columns()
-        peers = swarm.peers()
-        assert [p.endpoint.ip for p in peers] == cols.ip.tolist()
-        assert [p.endpoint.access.up_bps for p in peers] == cols.up_bps.tolist()
 
 
 class TestEngineIndependenceAtScale:
@@ -137,8 +90,8 @@ class TestLazyPeerState:
     latency state per touched peer; its threshold rows come from cached
     blocks.  Each piece must compute the very same IEEE doubles the old
     eager path precomputed up front — checked at test scale against the
-    digests recorded under both peer-state paths, across both population
-    representations, including the mega-scale profile resized down.
+    digests recorded under both peer-state paths, including the mega-scale
+    profile resized down.
 
     The ``core`` parameter keeps its historical ids and names the
     reference side of a comparison: ``"object"`` is a run the retired
@@ -160,17 +113,17 @@ class TestLazyPeerState:
 
     @pytest.mark.parametrize("core", ["object", "soa"])
     def test_lazy_sparse_equals_dense(self, core, reference):
-        """A live run over the object view matches the column run of
-        either core (the recorded ``napa-lazy-800`` case ran on columns)."""
+        """Columns fed to ``Engine`` directly match the ``napa-lazy-800``
+        case as the object core recorded it and as ``simulate`` runs it
+        live.  (The name is historical: the engine once also took the
+        population as one object per peer, and this compared the two.)"""
         assert NAPA_REFERENCE_CASES["napa-lazy-800"] == (800, 7, 60.0, {})
-        profile = _napa(800)
-        kw = dict(seed=7, duration_s=60.0)
-        dense = full_digests(_run_with_population(profile, "dense", **kw))
+        run = full_digests(_run_columns(_napa(800), seed=7, duration_s=60.0))
         if core == "object":
-            sparse = reference["napa"]["napa-lazy-800"]
+            expected = reference["napa"]["napa-lazy-800"]
         else:
-            sparse = full_digests(_run_with_population(profile, "sparse", **kw))
-        assert sparse == dense
+            expected = full_digests(run_napa_case("napa-lazy-800"))
+        assert run == expected
 
     @pytest.mark.parametrize("core", ["object", "soa"])
     def test_lazy_stats_report_touched_subsets(self, core, reference):
