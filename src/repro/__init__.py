@@ -34,6 +34,7 @@ from repro.core import (
     Direction,
     default_partitions,
 )
+from repro.exec.context import analysis_registry
 from repro.heuristics import IpRegistry
 from repro.streaming import (
     AppProfile,
@@ -97,8 +98,14 @@ def flow_table_of(result: SimulationResult) -> FlowTable:
 
 
 def analyze_experiment(result: SimulationResult, **analyzer_kw) -> AwarenessReport:
-    """Apply the paper's methodology to a simulation result."""
+    """Apply the paper's methodology to a simulation result.
+
+    Addresses resolve against the run's own host table, so a result
+    rehydrated from a bundle (process backend, checkpoint resume) —
+    whose world copy never saw the overflow prefixes paper-scale
+    placement attaches — analyses like the live one.
+    """
     table = flow_table_of(result)
-    registry = IpRegistry.from_world(result.world)
+    registry = analysis_registry(result.hosts, result.world)
     analyzer = AwarenessAnalyzer(registry, **analyzer_kw)
     return analyzer.analyze(table)

@@ -124,8 +124,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.framework import AwarenessAnalyzer
+    from repro.exec.context import analysis_registry
     from repro.experiments.table4 import Table4, cells_from_report
-    from repro.heuristics.registry import IpRegistry
     from repro.report.tables import render_table4
     from repro.trace.flows import build_flow_table
     from repro.trace.store import load_trace_bundle, rebuild_world
@@ -134,8 +134,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # Trace bundles are self-contained: the registry is rebuilt from the
     # per-host records (a GeoIP-style database), and the path model from
     # the recorded world seed (the world is a pure function of it).
-    registry = IpRegistry.from_hosts(bundle.hosts)
     world = rebuild_world(bundle)
+    registry = analysis_registry(bundle.hosts, world)
     flows = build_flow_table(
         bundle.transfers, bundle.signaling, bundle.hosts, world.paths
     )

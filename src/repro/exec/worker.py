@@ -23,7 +23,6 @@ regardless of how many attempts it took (the seed-unification fix).
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 
 from repro.errors import ReproError
 from repro.exec.context import analysis_registry, shard_context
@@ -31,7 +30,6 @@ from repro.exec.shards import ShardOutcome, ShardSpec
 from repro.obs.log import get_logger
 from repro.obs.telemetry import Telemetry
 from repro.streaming.engine import EngineConfig
-from repro.streaming.profiles import get_profile
 from repro.trace.store import TraceBundle, trace_digest
 
 _log = get_logger("exec.worker")
@@ -91,16 +89,6 @@ def _absorb_engine_stats(telemetry: Telemetry, result) -> None:
             telemetry.gauge(f"engine/{name}", float(stats[name]))
 
 
-def _shard_profile(spec: ShardSpec):
-    profile = get_profile(spec.key.app)
-    if spec.config.scale != 1.0:
-        profile = profile.scaled(spec.config.scale)
-    scheduler = getattr(spec.config, "scheduler", None)
-    if scheduler and scheduler != profile.scheduler:
-        profile = replace(profile, scheduler=scheduler)
-    return profile
-
-
 def _simulate_shard(
     spec: ShardSpec, world, testbed, outcome, failures, *, telemetry=None
 ) -> object | None:
@@ -111,7 +99,7 @@ def _simulate_shard(
 
     cfg = spec.config
     key = spec.key
-    profile = _shard_profile(spec)
+    profile = campaign_mod.campaign_profile(cfg, key.app)
 
     plan = None
     if cfg.impairment is not None and not cfg.impairment.is_noop:
@@ -184,14 +172,13 @@ def run_shard(spec: ShardSpec) -> ShardOutcome:
     _log.debug("shard-start", shard=str(key))
     with tel.timer("shard"):
         world, testbed = shard_context()
-        profile = _shard_profile(spec)
 
         result = None
         if cfg.checkpoint_dir and campaign_mod._checkpoint_path(cfg, key.app).exists():
             try:
                 with tel.timer("checkpoint_load"):
                     result = campaign_mod._load_checkpoint(
-                        cfg, key.app, world, testbed, profile
+                        cfg, key.app, world, testbed
                     )
             except ReproError as exc:
                 failures.append(

@@ -24,7 +24,7 @@ analysis.  The returned :class:`Campaign` is usable even when partial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -211,8 +211,6 @@ class Campaign:
 
 def campaign_profile(cfg: CampaignConfig, app: str):
     """The profile one shard simulates: built-in, scaled, policy applied."""
-    from dataclasses import replace
-
     profile = get_profile(app)
     if cfg.scale != 1.0:
         profile = profile.scaled(cfg.scale)
@@ -237,11 +235,7 @@ def _save_checkpoint(cfg: CampaignConfig, app: str, result: SimulationResult) ->
 
 
 def _load_checkpoint(
-    cfg: CampaignConfig,
-    app: str,
-    world: World,
-    testbed: Testbed,
-    profile,
+    cfg: CampaignConfig, app: str, world: World, testbed: Testbed
 ) -> SimulationResult:
     """Rebuild a SimulationResult from a checkpointed trace bundle.
 
@@ -251,6 +245,7 @@ def _load_checkpoint(
     """
     bundle = load_trace_bundle(_checkpoint_path(cfg, app))
     meta = bundle.meta
+    profile = campaign_profile(cfg, app)
     if meta.get("profile") != profile.name:
         raise TraceError(f"checkpoint profile {meta.get('profile')!r} != {profile.name!r}")
     if float(meta.get("duration_s", -1.0)) != cfg.duration_s:
@@ -267,6 +262,22 @@ def _load_checkpoint(
     expected_plan = None if cfg.impairment is None else cfg.impairment.seed
     if meta.get("impairment_seed") != expected_plan:
         raise TraceError("checkpoint impairment mismatch")
+    return _result_from_bundle(bundle, cfg, world, testbed, profile)
+
+
+def _result_from_bundle(
+    bundle: TraceBundle, cfg: CampaignConfig, world: World, testbed: Testbed, profile
+) -> SimulationResult:
+    """Rehydrate a bundled simulation of one campaign shard.
+
+    Both bundle sources go through here: a checkpoint resumed by the
+    worker (against the shard's world copy) and a process-backend
+    outcome merged by the parent (against the campaign's).  Every world
+    copy is a byte-identical replica of one pristine construction, so
+    paths resolve identically; addresses resolve through
+    :func:`~repro.exec.context.analysis_registry`, which reads the
+    bundle's own host table rather than the world's prefix plan.
+    """
     return SimulationResult(
         transfers=bundle.transfers,
         signaling=bundle.signaling,
@@ -274,8 +285,10 @@ def _load_checkpoint(
         testbed=testbed,
         world=world,
         profile=profile,
-        config=EngineConfig(duration_s=cfg.duration_s, seed=int(meta.get("seed", 0))),
-        events_processed=int(meta.get("events", 0)),
+        config=EngineConfig(
+            duration_s=cfg.duration_s, seed=int(bundle.meta.get("seed", 0))
+        ),
+        events_processed=int(bundle.meta.get("events", 0)),
     )
 
 
@@ -292,31 +305,6 @@ def campaign_shards(
         )
         for i, app in enumerate(cfg.apps)
     ]
-
-
-def _result_from_bundle(
-    bundle: TraceBundle, campaign: Campaign, app: str
-) -> SimulationResult:
-    """Rehydrate a worker's bundled simulation against the campaign world.
-
-    The campaign world/testbed are byte-identical replicas of the ones
-    the worker simulated on (both are copies of the same pristine
-    construction), so paths and registries resolve identically.
-    """
-    cfg = campaign.config
-    profile = campaign_profile(cfg, app)
-    return SimulationResult(
-        transfers=bundle.transfers,
-        signaling=bundle.signaling,
-        hosts=bundle.hosts,
-        testbed=campaign.testbed,
-        world=campaign.world,
-        profile=profile,
-        config=EngineConfig(
-            duration_s=cfg.duration_s, seed=int(bundle.meta.get("seed", 0))
-        ),
-        events_processed=int(bundle.meta.get("events", 0)),
-    )
 
 
 def merge_outcome(campaign: Campaign, outcome: ShardOutcome) -> None:
@@ -358,7 +346,9 @@ def merge_outcome(campaign: Campaign, outcome: ShardOutcome) -> None:
         return
     result = outcome.result
     if result is None:
-        result = _result_from_bundle(outcome.bundle, campaign, app)
+        cfg = campaign.config
+        profile = campaign_profile(cfg, app)
+        result = _result_from_bundle(outcome.bundle, cfg, campaign.world, campaign.testbed, profile)
     campaign.runs[app] = ExperimentRun(
         app=app,
         result=result,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.views import build_views
+from repro.exec.context import analysis_registry
 from repro.experiments.campaign import Campaign
 from repro.heuristics.registry import IpRegistry
 from repro.topology.geography import FIGURE1_LABELS
@@ -77,10 +78,7 @@ def build_figure1(campaign: Campaign, registry: IpRegistry | None = None) -> Fig
     """
     bars = []
     for app, run in campaign.runs.items():
-        reg = registry or IpRegistry.from_hosts(
-            run.result.hosts,
-            subnet_prefixlen=campaign.world.config.subnet_prefixlen,
-        )
+        reg = registry or analysis_registry(run.result.hosts, campaign.world)
         views = build_views(run.flows, contributors_only=False)
         all_peers = np.unique(
             np.concatenate([views.download.peer_ip, views.upload.peer_ip])

@@ -15,7 +15,7 @@ system this experiment calibrates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,16 +23,13 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.supervisor import SupervisionPolicy
 
-from repro.core.framework import AwarenessAnalyzer
+import repro.experiments.campaign as campaign_mod
 from repro.core.quality import QualityFlag
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ExecutorError
 from repro.exec.backends import resolve_executor
-from repro.exec.context import analysis_registry, shard_context
-from repro.faults.plan import ImpairmentPlan, simulate_impaired
+from repro.exec.shards import ShardSpec
+from repro.faults.plan import ImpairmentPlan
 from repro.obs.telemetry import Telemetry
-from repro.streaming.profiles import get_profile
-from repro.streaming.schedulers import default_scheduler, get_scheduler
-from repro.trace.flows import build_flow_table
 
 #: Default severity sweep: pristine → heavily impaired.
 DEFAULT_SEVERITIES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -99,66 +96,43 @@ def _headline(report) -> tuple[float, float, float]:
 
 @dataclass(frozen=True, slots=True)
 class SeverityShard:
-    """One severity point of a sweep, as a picklable unit of work."""
+    """One severity point of a sweep: a one-app campaign shard under the
+    severity's impairment preset, as a picklable unit of work."""
 
-    app: str
     severity: float
-    duration_s: float
-    seed: int
-    fault_seed: int
-    scale: float
-    scheduler: str = "mesh-pull"
+    spec: ShardSpec
+
+    @property
+    def config(self) -> "campaign_mod.CampaignConfig":
+        """The shard's campaign config (supervision derives deadlines from it)."""
+        return self.spec.config
 
 
 def run_severity_shard(shard: SeverityShard) -> RobustnessPoint:
-    """Measure one severity point on a pristine copy of the world.
+    """Run one severity point through :func:`~repro.exec.worker.run_shard`.
 
-    Every shard simulates on its own fresh world copy under the same
-    engine seed, so the only thing varying between points is the
-    impairment — the drift in the indices is attributable to damage, not
-    to seed noise or to allocator state left behind by earlier points.
+    The outcome is reduced to a :class:`RobustnessPoint` here, inside the
+    worker, so neither the simulation nor its flow table outlives the
+    point.  A point the shard pipeline could not complete raises
+    :class:`~repro.errors.ExecutorError` naming the severity and the
+    shard's ledger entries.
     """
-    tel = Telemetry()
-    with tel.timer("severity_shard"):
-        world, testbed = shard_context()
-        profile = get_profile(shard.app)
-        if shard.scale != 1.0:
-            profile = profile.scaled(shard.scale)
-        if shard.scheduler != profile.scheduler:
-            profile = replace(profile, scheduler=shard.scheduler)
-        plan = ImpairmentPlan.preset(
-            shard.severity, seed=shard.fault_seed, duration_s=shard.duration_s
-        )
-        with tel.timer("simulate"):
-            result, log = simulate_impaired(
-                profile,
-                plan,
-                duration_s=shard.duration_s,
-                seed=shard.seed,
-                world=world,
-                testbed=testbed,
-            )
-        with tel.timer("analyze"):
-            flows = build_flow_table(
-                result.transfers,
-                result.signaling,
-                result.hosts,
-                world.paths,
-                telemetry=tel,
-            )
-            registry = analysis_registry(result.hosts, world)
-            analysis = AwarenessAnalyzer(registry).analyze(flows, telemetry=tel)
-    bw, as_np, hop_np = _headline(analysis)
+    outcome = campaign_mod.run_shard(shard.spec)
+    if not outcome.ok:
+        ledger = "; ".join(str(f) for f in outcome.failures) or "no ledger entries"
+        raise ExecutorError(f"severity {shard.severity:g} failed: {ledger}")
+    log = outcome.impairment_log  # None for the no-op severity-0 plan
+    bw, as_np, hop_np = _headline(outcome.report)
     return RobustnessPoint(
         severity=shard.severity,
         bw_byte_pct=bw,
         as_byte_pct_nonprobe=as_np,
         hop_byte_pct_nonprobe=hop_np,
-        records=len(result.transfers),
-        dropped_fraction=log.dropped_fraction,
-        bad_time_fraction=log.bad_time_fraction,
-        flags=tuple(analysis.flags),
-        telemetry=tel,
+        records=len(outcome.result.transfers),
+        dropped_fraction=0.0 if log is None else log.dropped_fraction,
+        bad_time_fraction=0.0 if log is None else log.bad_time_fraction,
+        flags=tuple(outcome.report.flags),
+        telemetry=outcome.telemetry,
     )
 
 
@@ -177,31 +151,28 @@ def sweep_robustness(
 ) -> RobustnessReport:
     """Sweep impairment severity over one application.
 
-    Severity points are independent shards (each on its own pristine
-    world copy, same engine seed) and fan out over the selected executor
-    backend; the report lists them in the requested severity order
-    regardless of completion order.  On the process pool the points run
-    with deadlines and retries (serially, a supervision ``policy`` adds
-    inline retries); a point that exhausts every attempt raises
-    :class:`~repro.errors.ExecutorError` (severity sweeps
-    have no degraded-completion mode — a hole in the curve would be
-    misleading).
+    Each severity point is the one shard of a one-app campaign under
+    ``ImpairmentPlan.preset(severity)`` (its own pristine world copy, the
+    same engine seed at every point), so the sweep and ``repro campaign
+    --impair`` compute their indices on one path.  Points fan out over
+    the selected executor backend; the report lists them in the
+    requested severity order regardless of completion order.  On the
+    process pool the points run with deadlines and retries (serially, a
+    supervision ``policy`` adds inline retries); a point that exhausts
+    every attempt raises :class:`~repro.errors.ExecutorError` (severity
+    sweeps have no degraded-completion mode — a hole in the curve would
+    be misleading).
     """
     executor = resolve_executor(backend, workers, policy)
-    policy_name = scheduler if scheduler is not None else default_scheduler()
-    get_scheduler(policy_name)  # unknown names raise before any work
-    shards = [
-        SeverityShard(
-            app=app,
-            severity=severity,
-            duration_s=duration_s,
-            seed=seed,
-            fault_seed=fault_seed,
-            scale=scale,
-            scheduler=policy_name,
-        )
-        for severity in severities
-    ]
+    base = dict(apps=(app,), duration_s=duration_s, seed=seed, scale=scale)
+    if scheduler is not None:
+        base["scheduler"] = scheduler
+    shards = []
+    for severity in severities:
+        plan = ImpairmentPlan.preset(severity, seed=fault_seed, duration_s=duration_s)
+        cfg = campaign_mod.CampaignConfig(**base, impairment=plan)
+        [spec] = campaign_mod.campaign_shards(cfg, keep_result=True)
+        shards.append(SeverityShard(severity, spec))
     report = RobustnessReport(app=app)
     report.points.extend(executor.map_shards(run_severity_shard, shards))
     for point in report.points:

@@ -9,7 +9,8 @@ seeded, composable impairments:
 * :mod:`repro.faults.capture` — per-probe sniffer outage windows;
 * :mod:`repro.faults.clock`   — per-probe clock skew and jitter;
 * :mod:`repro.faults.plan`    — :class:`ImpairmentPlan`, composing the
-  four under one fault seed, plus :func:`simulate_impaired`.
+  four under one fault seed, plus :func:`impair_result` for the
+  post-hoc measurement faults.
 
 Every draw comes from a named :class:`~repro.config.RngBundle` stream,
 so an impaired run is a pure function of its seeds.
@@ -32,7 +33,6 @@ from repro.faults.plan import (
     ImpairmentLog,
     ImpairmentPlan,
     impair_result,
-    simulate_impaired,
 )
 
 __all__ = [
@@ -53,5 +53,4 @@ __all__ = [
     "ImpairmentLog",
     "ImpairmentPlan",
     "impair_result",
-    "simulate_impaired",
 ]

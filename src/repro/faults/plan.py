@@ -15,8 +15,9 @@ Two application points mirror where each fault physically lives:
 * :func:`impair_result` applies the *measurement* faults (capture gaps,
   clock skew) to the finished transfer log, post hoc.
 
-:func:`simulate_impaired` chains both around :func:`~repro.streaming.
-engine.simulate` and is the entry point the robustness experiment uses.
+A campaign shard (:func:`repro.exec.worker.run_shard`) chains both
+around :func:`~repro.streaming.engine.simulate`: a campaign's
+``impairment`` plan and each robustness severity point run that way.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.faults.capture import CaptureGap, CaptureOutageConfig, apply_capture_
 from repro.faults.churn import ChurnStorm, FlashCrowd, apply_churn_events
 from repro.faults.clock import ClockSkewConfig, apply_clock_skew, draw_clock_skew
 from repro.faults.loss import GilbertElliottConfig, materialize_loss_schedule
-from repro.streaming.engine import EngineConfig, SimulationResult, simulate
+from repro.streaming.engine import EngineConfig, SimulationResult
 
 
 @dataclass(frozen=True)
@@ -190,28 +191,3 @@ def impair_result(
     impaired.extras = dict(result.extras)
     impaired.extras["impairment"] = log
     return impaired, log
-
-
-def simulate_impaired(
-    profile,
-    plan: ImpairmentPlan,
-    *,
-    duration_s: float = 600.0,
-    seed: int = 7,
-    world=None,
-    testbed=None,
-    engine_config: EngineConfig | None = None,
-) -> tuple[SimulationResult, ImpairmentLog]:
-    """Run one experiment under an impairment plan.
-
-    A pure function of ``(world seed, profile, engine seed, plan seed)``:
-    identical arguments produce byte-identical impaired transfer logs.
-    """
-    base = engine_config or EngineConfig(duration_s=duration_s, seed=seed)
-    result = simulate(
-        profile,
-        world=world,
-        testbed=testbed,
-        engine_config=plan.engine_config(base),
-    )
-    return impair_result(result, plan)

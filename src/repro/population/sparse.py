@@ -102,57 +102,6 @@ class SparseSwarmConfig:
             raise ConfigurationError("block_size must be >= 1")
 
 
-class AliasTable:
-    """Vose alias sampler over a fixed weight vector.
-
-    Construction is O(n); each draw costs one ``integers`` plus one
-    ``random`` batch regardless of n — the piece that lets tracker and
-    gossip replies sample a 10^5-peer swarm without an O(n) scan per call.
-
-    Draw order (fixed, documented for determinism): the column draw
-    ``j = integers(n, size)`` first, then the coin ``u = random(size)``.
-    """
-
-    __slots__ = ("n", "prob", "alias")
-
-    def __init__(self, weights: np.ndarray) -> None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or len(w) == 0:
-            raise ConfigurationError("alias table needs a non-empty 1-D weight vector")
-        if np.any(w < 0) or not np.isfinite(w).all():
-            raise ConfigurationError("alias weights must be finite and non-negative")
-        total = w.sum()
-        if total <= 0:
-            raise ConfigurationError("alias weights must sum to a positive value")
-        if not np.isfinite(total):
-            raise ConfigurationError("alias weights overflow float64 when summed")
-        n = len(w)
-        # Normalise before scaling: w/total is always in [0, 1], so this
-        # cannot overflow even when ``total`` is subnormal (n/total would
-        # be inf) or the weights sit near the float64 ceiling (w*n would
-        # be inf).
-        scaled = (w / total) * n
-        prob = np.ones(n, dtype=np.float64)
-        alias = np.arange(n, dtype=np.int64)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s, l = small.pop(), large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0
-            (small if scaled[l] < 1.0 else large).append(l)
-        self.n = n
-        self.prob = prob
-        self.alias = alias
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` indices distributed per the construction weights."""
-        j = rng.integers(0, self.n, size=size)
-        u = rng.random(size)
-        return np.where(u < self.prob[j], j, self.alias[j])
-
-
 class ScoreRowCache:
     """LRU of on-demand per-probe score rows under a byte budget.
 

@@ -76,8 +76,6 @@ class RemoteAvailability:
         n = len(highbw)
         if len(joins) != n:
             raise ConfigurationError("highbw and joins must be aligned")
-        self._clock = clock
-        self._config = config
         base = np.where(highbw, config.highbw_base_s, config.lowbw_base_s)
         scale = np.where(highbw, config.highbw_scale_s, config.lowbw_scale_s)
         self.delays = base + rng.exponential(1.0, size=n) * scale
@@ -125,70 +123,16 @@ class RemoteAvailability:
             arrival = ready
         return t >= arrival
 
-    def have_chunk(self, peer_idx: np.ndarray, chunk_id: int, t: float) -> np.ndarray:
-        """Vectorised :meth:`has_chunk` over many peers for one chunk."""
-        gen = self._clock.generation_time(chunk_id)
-        if t >= gen + self._config.retention_s:
-            return np.zeros(len(peer_idx), dtype=bool)
-        idx = np.asarray(peer_idx, dtype=np.int64)
-        arrival = np.maximum(gen + self.delays[idx], self.ready_from[idx])
-        return t >= arrival
-
-    def have_chunks(
-        self, peer_idx: np.ndarray, chunk_ids: np.ndarray, t: float
-    ) -> np.ndarray:
-        """Batched oracle: a ``(len(chunk_ids), len(peer_idx))`` bool matrix.
-
-        ``out[c, p]`` answers :meth:`has_chunk` for ``chunk_ids[c]`` and
-        ``peer_idx[p]`` — one broadcast over the probe's whole request
-        window instead of a scalar probe per (chunk, partner) pair.  Agrees
-        element-wise with the scalar method (same doubles, same compares).
-        """
-        idx = np.asarray(peer_idx, dtype=np.int64)
-        gen = np.asarray(chunk_ids, dtype=np.int64) * self._chunk_interval
-        arrival = np.maximum(
-            gen[:, None] + self.delays[idx][None, :], self.ready_from[idx][None, :]
-        )
-        fresh = t < gen + self._retention_s
-        return (t >= arrival) & fresh[:, None]
-
     def subset(self, peer_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(delays, ready_from)`` restricted to ``peer_idx``.
 
         Callers that query the same peer subset repeatedly (the engine's
-        per-tick partner sets) fancy-index once and feed the pair to
-        :meth:`have_chunk_subset` per chunk.
+        per-tick partner sets) fancy-index once and derive per-chunk
+        arrival thresholds ``max(gen + delays, ready)`` from the pair —
+        the :meth:`has_chunk` arithmetic, hoisted.
         """
         idx = np.asarray(peer_idx, dtype=np.int64)
         return self.delays[idx], self.ready_from[idx]
-
-    def have_chunk_subset(
-        self, delays: np.ndarray, ready: np.ndarray, chunk_id: int, t: float
-    ) -> np.ndarray | None:
-        """:meth:`have_chunk` against a :meth:`subset` pair.
-
-        Returns None when the chunk has aged out of every retention window
-        (the all-False row, without allocating it).  Same doubles and same
-        compares as the scalar oracle, so results agree element-wise.
-        """
-        gen = chunk_id * self._chunk_interval
-        if t >= gen + self._retention_s:
-            return None
-        return t >= np.maximum(gen + delays, ready)
-
-    def subset_thresholds(
-        self, delays: np.ndarray, ready: np.ndarray, chunk_id: int
-    ) -> tuple[np.ndarray, float]:
-        """``(arrival thresholds, freshness deadline)`` for one chunk.
-
-        Everything in :meth:`have_chunk_subset` except ``t`` is a pure
-        function of (subset, chunk), so callers that rescan the same chunk
-        across ticks cache this pair and reduce the oracle to
-        ``t >= thresholds`` gated by ``t < deadline`` — the identical
-        doubles and compares, just hoisted out of the per-tick loop.
-        """
-        gen = chunk_id * self._chunk_interval
-        return np.maximum(gen + delays, ready), gen + self._retention_s
 
     def newest_missing(self, peer_idx: int, t: float) -> int | None:
         """The newest chunk ``peer_idx`` does *not* yet hold at ``t``.

@@ -348,11 +348,94 @@ class TestRobustnessSweep:
 
         from repro.experiments.robustness import SeverityShard, run_severity_shard
 
-        point = run_severity_shard(
-            SeverityShard(
-                app="napa-scale", severity=0.0, duration_s=10.0,
-                seed=7, fault_seed=1, scale=1.0,
-            )
+        cfg = CampaignConfig(
+            apps=("napa-scale",), duration_s=10.0, seed=7,
+            impairment=ImpairmentPlan.preset(0.0, seed=1, duration_s=10.0),
         )
+        [spec] = campaign_mod.campaign_shards(cfg, keep_result=True)
+        point = run_severity_shard(SeverityShard(0.0, spec))
         assert math.isfinite(point.as_byte_pct_nonprobe)
         assert not [f for f in point.flags if f.code == "metric-error"]
+
+    def test_failed_point_raises_naming_severity(self, monkeypatch):
+        from repro.errors import ExecutorError
+        from repro.experiments.robustness import sweep_robustness
+
+        monkeypatch.setattr(campaign_mod, "simulate", failing_simulate("tvants"))
+        with pytest.raises(ExecutorError, match=r"severity 0\.5 failed: .*injected fault"):
+            sweep_robustness("tvants", severities=(0.5,), **SMALL)
+
+    def test_point_deadline_derives_from_its_duration(self):
+        from repro.exec.supervisor import SupervisionPolicy
+        from repro.experiments.robustness import SeverityShard
+
+        cfg = CampaignConfig(apps=("tvants",), duration_s=300.0)
+        [spec] = campaign_mod.campaign_shards(cfg, keep_result=True)
+        assert SupervisionPolicy().deadline_for(SeverityShard(1.0, spec)) == 900.0
+
+    def test_point_is_a_campaign_shard(self):
+        """A severity point and ``campaign --impair`` compute one thing."""
+        from repro.experiments.robustness import sweep_robustness
+
+        plan = ImpairmentPlan.preset(1.0, seed=1, duration_s=20.0)
+        campaign = run_campaign(
+            CampaignConfig(apps=("tvants",), impairment=plan, **SMALL)
+        )
+        [point] = sweep_robustness("tvants", severities=(1.0,), **SMALL).points
+        report = campaign["tvants"].report
+        assert point.as_byte_pct_nonprobe == report["AS"].download.B_prime
+        assert point.records == len(campaign["tvants"].result.transfers)
+        assert point.bad_time_fraction == campaign.impairment_logs["tvants"].bad_time_fraction
+        assert set(point.telemetry.counters) >= {"shard/simulate_attempts"}
+
+
+def _fields(point):
+    """Every :class:`RobustnessPoint` field except ``telemetry``."""
+    return (
+        point.severity,
+        point.bw_byte_pct,
+        point.as_byte_pct_nonprobe,
+        point.hop_byte_pct_nonprobe,
+        point.records,
+        point.dropped_fraction,
+        point.bad_time_fraction,
+        point.flags,
+    )
+
+
+class TestRobustnessPins:
+    """Exact sweep outputs, pinned so the sweep's pipeline cannot drift.
+
+    The scheduler is explicit: CI also runs this suite with
+    ``REPRO_SCHEDULER=rarest``, and the pins are mesh-pull's.
+    """
+
+    def test_tvants_sweep(self):
+        from repro.experiments.robustness import sweep_robustness
+
+        report = sweep_robustness(
+            "tvants", severities=(0.0, 0.5, 1.0), duration_s=60.0, seed=3, scale=0.4,
+            scheduler="mesh-pull",
+        )
+        assert [_fields(p) for p in report.points] == [
+            (0.0, 95.71829848008078, 2.92236623293959, 39.831969684949286,
+             37862, 0.0, 0.0, ()),
+            (0.5, 95.49267579895265, 4.3323383496762595, 38.921336304589275,
+             37492, 0.01235478517425781, 0.3489532274111893, ()),
+            (1.0, 93.31333480758691, 5.955475645685979, 40.46603067751484,
+             39160, 0.012632056680366155, 0.4652709698815857, ()),
+        ]
+
+    def test_napa_scale_sweep(self):
+        from repro.experiments.robustness import sweep_robustness
+
+        report = sweep_robustness(
+            "napa-scale", severities=(0.0, 1.0), duration_s=30.0, seed=7,
+            scheduler="mesh-pull",
+        )
+        assert [_fields(p) for p in report.points] == [
+            (0.0, 94.41670825315624, 6.792256574210417, 75.18753616794531,
+             51664, 0.0, 0.0, ()),
+            (1.0, 92.01654976623048, 6.948105418849646, 74.16432959173522,
+             55051, 0.03080931673738141, 0.4580598563386523, ()),
+        ]

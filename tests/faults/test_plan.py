@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FaultInjectionError
-from repro.faults.plan import ImpairmentPlan, simulate_impaired
+from repro.faults.plan import ImpairmentPlan, impair_result
 from repro.streaming.engine import EngineConfig, simulate
 from repro.streaming.profiles import get_profile
 
@@ -11,6 +11,13 @@ from repro.streaming.profiles import get_profile
 @pytest.fixture(scope="module")
 def profile():
     return get_profile("tvants").scaled(0.4)
+
+
+def impaired_run(profile, plan, *, duration_s, seed):
+    """Both application points of a plan, composed as a campaign shard does."""
+    base = EngineConfig(duration_s=duration_s, seed=seed)
+    result = simulate(profile, engine_config=plan.engine_config(base))
+    return impair_result(result, plan)
 
 
 class TestPlan:
@@ -51,21 +58,21 @@ class TestPlan:
 class TestDeterminism:
     def test_same_seeds_byte_identical(self, profile):
         plan = ImpairmentPlan.preset(0.75, seed=3, duration_s=25.0)
-        a, log_a = simulate_impaired(profile, plan, duration_s=25.0, seed=11)
-        b, log_b = simulate_impaired(profile, plan, duration_s=25.0, seed=11)
+        a, log_a = impaired_run(profile, plan, duration_s=25.0, seed=11)
+        b, log_b = impaired_run(profile, plan, duration_s=25.0, seed=11)
         assert a.transfers.tobytes() == b.transfers.tobytes()
         assert log_a.capture_gaps == log_b.capture_gaps
         assert log_a.bad_time_fraction == log_b.bad_time_fraction
 
     def test_fault_seed_changes_trace(self, profile):
         plan = ImpairmentPlan.preset(0.75, seed=3, duration_s=25.0)
-        a, _ = simulate_impaired(profile, plan, duration_s=25.0, seed=11)
-        b, _ = simulate_impaired(profile, plan.with_seed(4), duration_s=25.0, seed=11)
+        a, _ = impaired_run(profile, plan, duration_s=25.0, seed=11)
+        b, _ = impaired_run(profile, plan.with_seed(4), duration_s=25.0, seed=11)
         assert a.transfers.tobytes() != b.transfers.tobytes()
 
     def test_noop_plan_matches_baseline(self, profile):
         base = simulate(profile, engine_config=EngineConfig(duration_s=25.0, seed=11))
-        impaired, log = simulate_impaired(
+        impaired, log = impaired_run(
             profile, ImpairmentPlan(), duration_s=25.0, seed=11
         )
         assert impaired.transfers.tobytes() == base.transfers.tobytes()
@@ -75,7 +82,7 @@ class TestDeterminism:
 class TestImpairmentLog:
     def test_log_records_damage(self, profile):
         plan = ImpairmentPlan.preset(1.0, seed=3, duration_s=25.0)
-        result, log = simulate_impaired(profile, plan, duration_s=25.0, seed=11)
+        result, log = impaired_run(profile, plan, duration_s=25.0, seed=11)
         assert log.records_before >= log.records_after == len(result.transfers)
         assert log.clock_skew_applied
         assert 0.0 < log.bad_time_fraction < 1.0

@@ -1,4 +1,4 @@
-"""Sparse swarm columns, seeded blocks and the alias sampler.
+"""Sparse swarm columns, seeded blocks and the score-row cache.
 
 The sparse generator's contract has three legs:
 
@@ -10,10 +10,6 @@ The sparse generator's contract has three legs:
   (``tests/population/endpoint_view.py``), and the drawn *distributions*
   match the dense generator's rules (access plans, campus placement, TTL
   mix) even though the streams differ.
-
-:class:`AliasTable` is pinned separately: the engine's tracker sampler
-uses the algebraically-equivalent two-valued fast path, so the general
-table would otherwise lose coverage.
 """
 
 import numpy as np
@@ -24,7 +20,6 @@ from repro.config import RngBundle
 from repro.population.demographics import cctv1_audience, crossswarm_audience
 from repro.population.sparse import (
     DEFAULT_BLOCK_SIZE,
-    AliasTable,
     ScoreRowCache,
     SparseSwarmConfig,
     generate_sparse_swarm,
@@ -156,80 +151,6 @@ class TestFidelity:
         cols = _swarm(sparse_world, size=4000, demographics=demo)
         campus_asns = {asn for asn, _ in PROBE_AS_NUMBERS.values()}
         assert not np.isin(cols.asn, sorted(campus_asns)).any()
-
-
-class TestAliasTable:
-    def test_rejects_bad_weights(self):
-        for bad in ([], [-1.0, 2.0], [np.inf, 1.0], [0.0, 0.0]):
-            with pytest.raises(ConfigurationError):
-                AliasTable(np.array(bad, dtype=np.float64))
-
-    def test_deterministic(self):
-        table = AliasTable(np.array([1.0, 2.0, 3.0]))
-        a = table.draw(np.random.default_rng(4), 100)
-        b = table.draw(np.random.default_rng(4), 100)
-        assert np.array_equal(a, b)
-
-    def test_distribution_matches_weights(self):
-        w = np.array([1.0, 3.0, 6.0])
-        table = AliasTable(w)
-        draws = table.draw(np.random.default_rng(1), 60_000)
-        freq = np.bincount(draws, minlength=3) / len(draws)
-        assert np.allclose(freq, w / w.sum(), atol=0.02)
-
-    def test_uniform_weights_stay_uniform(self):
-        table = AliasTable(np.ones(7))
-        draws = table.draw(np.random.default_rng(2), 70_000)
-        freq = np.bincount(draws, minlength=7) / len(draws)
-        assert np.allclose(freq, 1 / 7, atol=0.02)
-
-    def test_single_bucket_always_wins(self):
-        # Degenerate n=1 table: every draw must return index 0 (the alias
-        # construction has no partner bucket to split probability with).
-        table = AliasTable(np.array([2.5]))
-        draws = table.draw(np.random.default_rng(5), 1000)
-        assert np.array_equal(draws, np.zeros(1000, dtype=draws.dtype))
-
-    def test_zero_probability_entries_never_drawn(self):
-        w = np.array([0.0, 5.0, 0.0, 1.0, 0.0])
-        table = AliasTable(w)
-        draws = table.draw(np.random.default_rng(6), 30_000)
-        assert set(np.unique(draws).tolist()) <= {1, 3}
-        freq = np.bincount(draws, minlength=5) / len(draws)
-        assert np.allclose(freq, w / w.sum(), atol=0.02)
-
-    def test_matches_generator_choice_frequencies(self):
-        """Property: alias draws ≈ ``Generator.choice`` for random weights.
-
-        Hypothesis explores the weight space (mixed magnitudes, zeros,
-        short and long tables); both samplers target the same normalised
-        distribution, so large-sample frequencies must agree within a
-        tolerance far tighter than any miscomputed alias/prob pair could
-        satisfy.
-        """
-        from hypothesis import given, settings, strategies as st
-
-        @settings(max_examples=30, deadline=None)
-        @given(
-            weights=st.lists(
-                st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-                min_size=1,
-                max_size=12,
-            ).filter(lambda ws: sum(ws) > 0),
-            seed=st.integers(min_value=0, max_value=2**31 - 1),
-        )
-        def check(weights, seed):
-            w = np.array(weights, dtype=np.float64)
-            p = w / w.sum()
-            n = 40_000
-            alias = AliasTable(w).draw(np.random.default_rng(seed), n)
-            ref = np.random.default_rng(seed + 1).choice(len(w), size=n, p=p)
-            f_alias = np.bincount(alias, minlength=len(w)) / n
-            f_ref = np.bincount(ref, minlength=len(w)) / n
-            assert np.allclose(f_alias, p, atol=0.03)
-            assert np.allclose(f_alias, f_ref, atol=0.05)
-
-        check()
 
 
 class TestScoreRowCache:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.streaming.availability import AvailabilityConfig, RemoteAvailability
@@ -66,13 +65,6 @@ class TestHasChunk:
         recent = clock.latest_chunk(t - float(av.delays[0]))
         assert av.has_chunk(0, recent, t)
 
-    def test_vectorised_matches_scalar(self, clock):
-        av = make(clock, n=30)
-        idx = np.arange(30)
-        for chunk, t in [(10, 5.0), (10, 8.0), (30, 12.0), (60, 25.0)]:
-            vec = av.have_chunk(idx, chunk, t)
-            assert vec.tolist() == [av.has_chunk(i, chunk, t) for i in range(30)]
-
     def test_highbw_peers_hold_chunks_earlier_on_average(self, clock):
         av = make(clock, n=2000, highbw_frac=0.5)
         hb = av.delays[:1000].mean()
@@ -109,76 +101,3 @@ class TestNewestMissing:
 
     def test_len(self, clock):
         assert len(make(clock, n=17)) == 17
-
-
-class TestBatchScalarEquivalence:
-    """The batched oracle paths are *definitionally* the scalar oracle.
-
-    The engine's hot loops rely on bit-equality between every batched /
-    cached formulation and the scalar ``has_chunk`` — these properties
-    pin that across randomly drawn configurations, not just the fixed
-    cases above.
-    """
-
-    @given(
-        seed=st.integers(0, 2**20),
-        n=st.integers(1, 40),
-        chunk=st.integers(0, 400),
-        t=st.floats(0.0, 200.0, allow_nan=False),
-        highbw_frac=st.floats(0.0, 1.0),
-        startup_s=st.floats(0.0, 20.0),
-        retention_margin=st.floats(1.0, 120.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_have_chunk_matches_scalar(
-        self, seed, n, chunk, t, highbw_frac, startup_s, retention_margin
-    ):
-        clock = ChunkClock(rate_bps=kbps(384), chunk_bytes=16_000)
-        av = make(
-            clock,
-            n=n,
-            highbw_frac=highbw_frac,
-            seed=seed,
-            startup_s=startup_s,
-            retention_s=startup_s + retention_margin,
-        )
-        idx = np.arange(n)
-        assert av.have_chunk(idx, chunk, t).tolist() == [
-            av.has_chunk(i, chunk, t) for i in range(n)
-        ]
-
-    @given(seed=st.integers(0, 2**20), t=st.floats(0.0, 120.0, allow_nan=False))
-    @settings(max_examples=30, deadline=None)
-    def test_have_chunks_matrix_matches_scalar_grid(self, seed, t):
-        clock = ChunkClock(rate_bps=kbps(384), chunk_bytes=16_000)
-        av = make(clock, n=12, seed=seed)
-        idx = np.arange(12)
-        chunks = np.arange(int(t / clock.chunk_interval) + 3)
-        mat = av.have_chunks(idx, chunks, t)
-        assert mat.shape == (len(chunks), len(idx))
-        for ci, chunk in enumerate(chunks):
-            assert mat[ci].tolist() == [av.has_chunk(i, int(chunk), t) for i in idx]
-
-    @given(
-        seed=st.integers(0, 2**20),
-        chunk=st.integers(0, 300),
-        t=st.floats(0.0, 120.0, allow_nan=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_subset_paths_match_scalar(self, seed, chunk, t):
-        clock = ChunkClock(rate_bps=kbps(384), chunk_bytes=16_000)
-        av = make(clock, n=25, seed=seed)
-        sub_idx = np.arange(25)[::3]
-        delays, ready = av.subset(sub_idx)
-        expected = [av.has_chunk(int(i), chunk, t) for i in sub_idx]
-
-        row = av.have_chunk_subset(delays, ready, chunk, t)
-        if row is None:
-            assert not any(expected)  # aged out everywhere
-        else:
-            assert row.tolist() == expected
-
-        # The cached-threshold formulation used by the engine tick.
-        thr, fresh_until = av.subset_thresholds(delays, ready, chunk)
-        cached = (t >= thr).tolist() if t < fresh_until else [False] * len(sub_idx)
-        assert cached == expected

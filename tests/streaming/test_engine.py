@@ -138,3 +138,28 @@ class TestEngineConfig:
     def test_bad_rebalance_rejected(self):
         with pytest.raises(Exception):
             EngineConfig(demand_rebalance_s=0)
+
+
+class TestBiasedSampler:
+    """The alias-discovery sampler every ``discovery="alias"`` run draws from."""
+
+    def test_frequencies_match_normalised_weights(self):
+        from repro.streaming.engine import _BiasedSampler
+
+        asn = np.array([1, 2, 1, 3, 2, 1, 4, 1])
+        chooser, bias = 1, 3.0
+        sampler = _BiasedSampler(len(asn), np.flatnonzero(asn == chooser), bias)
+        draws = sampler.draw(np.random.default_rng(11), 200_000)
+        weights = 1.0 + bias * (asn == chooser)
+        freq = np.bincount(draws, minlength=len(asn)) / len(draws)
+        assert np.allclose(freq, weights / weights.sum(), atol=0.005)
+
+    @pytest.mark.parametrize("bias, same", [(0.0, [0, 2]), (2.0, [])])
+    def test_inactive_bias_consumes_only_the_index_draw(self, bias, same):
+        from repro.streaming.engine import _BiasedSampler
+
+        sampler = _BiasedSampler(9, np.array(same, dtype=np.int64), bias)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        draws = sampler.draw(rng, 50)
+        assert np.array_equal(draws, ref.integers(0, 9, size=50))
+        assert rng.bit_generator.state == ref.bit_generator.state

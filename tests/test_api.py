@@ -26,6 +26,24 @@ class TestPublicApi:
             report_small["BW"].download.B
         )
 
+    def test_analyze_rehydrated_paper_scale_run(self):
+        """A process-backend run is rehydrated against the campaign's
+        world copy, which lacks the overflow prefixes paper-scale
+        placement attached; analysis must still resolve every address
+        and reproduce the campaign's own report."""
+        from repro.experiments.campaign import CampaignConfig, run_campaign
+
+        campaign = run_campaign(
+            CampaignConfig(apps=("napa-scale",), duration_s=10.0),
+            backend="process",
+            workers=1,
+        )
+        run = campaign["napa-scale"]
+        report = repro.analyze_experiment(run.result)
+        assert not [f for f in report.flags if f.code == "metric-error"]
+        assert report["AS"].download.B_prime == run.report["AS"].download.B_prime
+        assert report["CC"].download.B_prime == run.report["CC"].download.B_prime
+
     def test_subpackage_exports(self):
         import repro.active
         import repro.core
