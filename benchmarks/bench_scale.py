@@ -2,8 +2,9 @@
 
 The napa-scale profile runs the measured CCTV-1 population (1.8×10^5
 concurrent peers) on the sparse column swarm with alias discovery,
-cohort ticking and the 1 Mbps HD channel.  Three benchmark families
-track it:
+cohort ticking (one event ticks every probe through the per-probe
+kernel) and the 1 Mbps HD channel.  Three benchmark families track
+it:
 
 * ``test_engine_crossover_throughput`` — the same profile resized to
   4×10^3 and 4×10^4 peers: the swarm-size axis the performance docs

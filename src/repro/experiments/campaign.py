@@ -24,6 +24,7 @@ analysis.  The returned :class:`Campaign` is usable even when partial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -120,8 +121,11 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if not self.apps:
             raise ConfigurationError("campaign needs at least one app")
-        if self.duration_s <= 0 or self.scale <= 0:
-            raise ConfigurationError("duration and scale must be positive")
+        if not (0 < self.duration_s < math.inf and 0 < self.scale < math.inf):
+            raise ConfigurationError(
+                "duration and scale must be positive and finite, got "
+                f"duration={self.duration_s}, scale={self.scale}"
+            )
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
         get_scheduler(self.scheduler)  # unknown names raise here

@@ -16,6 +16,7 @@ Everything stochastic draws from named, seeded RNG streams
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,38 +71,19 @@ LOWBW_DEMAND_FACTOR = 0.15
 #: Probability that a discovery contact towards a firewalled peer fails.
 FIREWALL_DROP_PROB = 0.8
 
-#: Bounds on the pure per-probe memoisations (docs/engine-internals.md,
-#: "cache audit"): evicted entries are recomputed bit-identically on the
-#: next miss, so the bounds affect memory only, never the trace.
+#: Bound on the per-probe partner-context memo (docs/engine-internals.md,
+#: "Per-probe caches under shared arrays"): evicted entries are recomputed
+#: bit-identically on the next miss, so the bound affects memory only,
+#: never the trace.
 _PARTNER_CTX_MAX = 8
-_THR_CACHE_MAX = 4096
 
 #: Partner-set width up to which a partner context also carries the
-#: scalar scan plan (per-partner tuples, per-chunk threshold lists) that
+#: scalar scan plan (per-partner tuples, remote scalar lists) that
 #: the narrow-width mesh-pull kernel walks instead of building an
 #: availability matrix.  At a few dozen partners numpy's per-call cost
 #: outweighs the arithmetic it vectorises; see docs/engine-internals.md
 #: for the measurement behind the cut.
 _NARROW_PARTNERS = 48
-
-#: Extra chunk-range coverage built into each availability-threshold
-#: matrix, so the per-tick lookup only rebuilds when the live edge crosses
-#: the covered top (amortises the vectorised rebuild over many ticks).
-_THR_SLACK = 256
-
-#: Blockwise availability evaluation for the cohort build: threshold
-#: rows are grouped into fixed chunk-id spans of this many rows, built on
-#: first touch and reused across ticks — the thresholds are t-independent
-#: chunk constants, so a cached block is bit-for-bit the rows the per-tick
-#: rebuild would produce.  The cache clears whenever the cohort's partner
-#: contexts change, which at paper scale is most ticks, so blocks stay
-#: small: a rebuild computes little more than the hole window itself.
-_THR_BLOCK = 32
-
-#: Eviction budget for the block cache, in blocks.  The live window walks
-#: upward, so the lowest block id is evicted first; an evicted block that
-#: is touched again rebuilds bit-identically (memory-only bound).
-_THR_BLOCKS_MAX = 8
 
 #: Entry cap on the swarm-wide CDF memo.  Keys are holder score tuples;
 #: at mega scale the distinct-sequence space is large enough to grow the
@@ -182,8 +164,10 @@ class EngineConfig:
     churn_transform: object | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigurationError(
+                f"duration must be positive and finite, got {self.duration_s}"
+            )
         if self.demand_rebalance_s <= 0:
             raise ConfigurationError("rebalance interval must be positive")
 
@@ -436,27 +420,8 @@ class Engine:
             self.config.max_probe_attempts if self._scheduler.truncate_scan else None
         )
         self._sched_push = self._scheduler.pushes
-        #: Cohort-tick availability state: ``_cohort_serial`` bumps once
-        #: per cohort build, ``_cohort_t``/``_cohort_floor`` stamp the
-        #: tick it covers.  A ctx whose ``cohort_serial`` matches holds a
-        #: prebuilt full-range availability block for this very tick, so
-        #: the per-probe scheduler call reduces to one row gather.
-        self._cohort_serial = 0
-        self._cohort_t = -1.0
-        self._cohort_floor = 0
-        #: Stacked remote scalars for the cohort build, memoised by the
-        #: participating ctxs' creation uids (collision-free, unlike
-        #: ``id()`` which the allocator recycles).
-        self._cohort_scalars_key: tuple = ()
-        self._cohort_delays: np.ndarray | None = None
-        self._cohort_ready: np.ndarray | None = None
-        self._ctx_uid = 0
         #: Per-probe (partners array, ctx) memo of the last lookup.
         self._pi_ctx: list = [None] * len(self._probes)
-        #: Blockwise availability cache: block id → threshold block over
-        #: the stacked cohort scalars.  Cleared whenever the
-        #: participating ctx set (and so the column stacking) changes.
-        self._thr_blocks: dict[int, np.ndarray] = {}
 
     # ----------------------------------------------------------- directory
     def _build_directory(self, cols: SwarmColumns) -> None:
@@ -662,8 +627,6 @@ class Engine:
         #: Entry budget for the CDF memo, read at the schedulers' insert
         #: sites (they cannot import this module — circular).
         self._cdf_cache_max = _CDF_CACHE_MAX
-        #: Entry budget for a narrow ctx's per-chunk threshold cache.
-        self._thr_cache_max = _THR_CACHE_MAX
 
     def _build_remote_row(self, pi: int) -> np.ndarray:
         """Probe ``pi``'s full remote-policy score row, built on demand.
@@ -925,178 +888,15 @@ class Engine:
         """Tick every probe in one event, ascending probe order.
 
         Selected by ``profile.tick_cohort``.  Trace-equivalent to calling
-        :meth:`_tick_probe` for each probe in turn at the same timestamp —
-        probes do not mutate each other's buffers within a tick — but
-        restructured into two passes so the per-tick numpy dispatches
-        amortise across probes:
-
-        1. **Scan pass** — one multi-row evict+scan
-           (:meth:`SoAState.tick_scan_all`) replaces ``n`` per-probe row
-           slices; the per-probe hole lists, online partner sets and free
-           request slots are collected as work items.
-        2. **Schedule pass** — :meth:`_cohort_build` precomputes every
-           work item's availability block over the union of the actual
-           hole ranges (per-ctx threshold compares, plus one shared 2-D
-           bitmap gather covering all probe-partner columns of all
-           items), then the schedulers run in ascending probe order, so
-           the RNG stream and event insertion order are untouched.
-
-        Reordering scans before schedules is trace-invariant: a scan
-        only mutates its own row below the shared floor (never scanned
-        by others) and draws no randomness, so no schedule can observe
-        the difference.
+        :meth:`_tick_probe` for each probe in turn at the same timestamp,
+        which is what it does: the cohort schedule only changes *when*
+        probes tick (one shared clock instead of staggered offsets), not
+        how a tick runs.
         """
         t = self._queue.now
-        soa = self._soa
-        floor, newest, scans = soa.tick_scan_all(t, self._live_lag, self._scan_limit)
-        works = []
-        online = None
         for probe in self._probes:
-            out, arr = scans[probe.pi]
-            if out and probe.partners:
-                if online is None:
-                    online = self._online_mask(t)
-                partners = probe.online_partners(online, self._mask_key)
-                slots = self._max_parallel - soa.inflight_n[probe.pi]
-                if slots > 0 and len(partners):
-                    ctx = self._partner_ctx(probe.pi, partners)
-                    works.append((probe, out, arr, partners, slots, ctx))
-        if works:
-            # Shrink coverage from [floor, newest] to the union of the
-            # works' actual hole ranges (hole arrays are newest-first, so
-            # arr[-1]/arr[0] bound each probe's holes).  At steady state
-            # holes cluster within a few chunks of the live edge while
-            # the scan window spans ~window_chunks, so this cuts the
-            # block build by an order of magnitude.  Per-chunk threshold
-            # and bitmap values are independent of the range start, so
-            # the precomputed blocks stay byte-identical.
-            cmin = min(int(w[2][-1]) for w in works)
-            cmax = max(int(w[2][0]) for w in works)
-            self._cohort_build(t, cmin, cmax, works)
-            for probe, out, arr, partners, slots, _ctx in works:
-                # Install the probe's scan pair so the scheduler's
-                # ``lookahead is scan_list`` reuse keeps working (its ctx
-                # lookup hits the per-probe memo set above).
-                soa.scan_list = out
-                soa.scan_arr = arr
-                self._sched_requests(probe, t, out, partners, slots)
+            self._tick_probe(probe, t)
         self._queue.schedule(t + self._tick_interval, self._cb_tick_cohort)
-
-    def _cohort_build(self, t: float, floor: int, newest: int, works: list) -> None:
-        """Precompute availability blocks for one cohort tick.
-
-        ``[floor, newest]`` is the chunk range to cover — the caller
-        passes the union of the works' hole ranges, not the whole scan
-        window, so the span is a handful of rows at steady state.  Both
-        column families batch across the whole cohort:
-
-        * **Probe columns** — one 2-D fancy gather over the shared
-          bitmaps covering every ctx's probe-partner rows.
-        * **Remote columns** — one stacked threshold matrix over every
-          ctx's remote scalars (the per-ctx ``delays``/``ready`` vectors
-          concatenated once and memoised by ctx identity), compared
-          against ``t`` in a single elementwise pass.  The freshness
-          deadline ``gen + retention`` depends only on the chunk id, so
-          one span-length vector masks all ctxs at once.
-
-        Each ctx then gets its ``cohort_A`` block — remote columns
-        first, probe columns after, the exact column layout of
-        :meth:`_availability` — as two views into the stacked
-        matrices plus one concatenate.  The per-chunk values are
-        elementwise the ones the slow path would compute (same threshold
-        doubles, same IEEE compares), so the row-gather fast path is
-        byte-identical.
-        """
-        soa = self._soa
-        self._cohort_serial += 1
-        serial = self._cohort_serial
-        ci = self._av_chunk_interval
-        retention = self._av_retention
-        check_fresh = retention < soa.window_chunks * ci
-        ctxs = []
-        for work in works:
-            ctx = work[5]
-            if ctx["cohort_serial"] != serial:
-                ctx["cohort_serial"] = serial
-                ctxs.append(ctx)
-        pcols = [c["probe_rows_arr"] for c in ctxs if c["probe_rows_arr"].size]
-        PB = None
-        if pcols:
-            all_rows = np.concatenate(pcols)
-            S = (
-                np.arange(floor, newest + 1, dtype=np.int64)[:, None]
-                - soa.base_arr[all_rows][None, :]
-            )
-            PB = soa.have[all_rows[None, :], np.minimum(S, soa.capacity)]
-        rctxs = [c for c in ctxs if c["n_rem"]]
-        AV = None
-        if rctxs:
-            key = tuple(c["uid"] for c in rctxs)
-            if key != self._cohort_scalars_key:
-                self._cohort_scalars_key = key
-                self._cohort_delays = np.concatenate(
-                    [c["delays"] for c in rctxs]
-                )
-                self._cohort_ready = np.concatenate([c["ready"] for c in rctxs])
-                self._thr_blocks.clear()
-            # Thresholds are t-independent chunk constants, so rows
-            # persist across ticks in fixed-span blocks and only the
-            # boolean compare runs per tick.
-            AV = self._thr_window(floor, newest, ci) <= t
-            if check_fresh:
-                gens = np.arange(floor, newest + 1, dtype=np.float64) * ci
-                AV &= (gens + retention > t)[:, None]
-        roff = poff = 0
-        for ctx in ctxs:
-            avail = pb = None
-            n = ctx["n_rem"]
-            if n:
-                avail = AV[:, roff : roff + n]
-                roff += n
-            k = ctx["probe_rows_arr"].size
-            if k:
-                pb = PB[:, poff : poff + k]
-                poff += k
-            if avail is None:
-                ctx["cohort_A"] = pb
-            elif pb is None:
-                ctx["cohort_A"] = avail
-            else:
-                ctx["cohort_A"] = np.concatenate((avail, pb), axis=1)
-        self._cohort_t = t
-        self._cohort_floor = floor
-
-    def _thr_window(self, floor: int, newest: int, ci: float) -> np.ndarray:
-        """Assemble ``[floor, newest]`` threshold rows from cached blocks.
-
-        Each block covers chunk ids ``[b·B, (b+1)·B)`` against the current
-        stacked cohort scalars.  A block row for chunk ``c`` is
-        ``max(c·ci + delay, ready)`` — ``np.arange(lo, lo + B) * ci``
-        produces the same ``c·ci`` doubles as the window-wide arange, and
-        ``np.maximum`` is elementwise, so the assembled window is
-        bit-for-bit the matrix a per-tick window build would give.  The live
-        window only walks upward, so eviction drops the lowest block id;
-        a re-touched block rebuilds identically (memory-only bound).
-        """
-        blocks = self._thr_blocks
-        b0 = floor // _THR_BLOCK
-        b1 = newest // _THR_BLOCK
-        parts = []
-        for b in range(b0, b1 + 1):
-            lo = b * _THR_BLOCK
-            blk = blocks.get(b)
-            if blk is None:
-                gens_b = np.arange(lo, lo + _THR_BLOCK, dtype=np.float64) * ci
-                blk = np.maximum(
-                    gens_b[:, None] + self._cohort_delays[None, :],
-                    self._cohort_ready[None, :],
-                )
-                while len(blocks) >= _THR_BLOCKS_MAX:
-                    blocks.pop(min(blocks))
-                blocks[b] = blk
-            # Slice before joining, so only the window's rows are copied.
-            parts.append(blk[max(floor - lo, 0) : newest + 1 - lo])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _on_tick(self, probe: _PeerState) -> None:
         t = self._queue.now
@@ -1367,20 +1167,21 @@ class Engine:
         """Per-partner-set scan inputs for probe ``pi``, memoised per set.
 
         Partner sets only change at refresh/churn boundaries, so the
-        remote/probe split, the diffusion scalars, the provider scores and
-        the availability-threshold cache are reused across the many ticks
-        in between.  Every ctx carries the array layout the vectorised
-        kernels use (see :meth:`_availability`) and ``score_of``, each
-        partner's provider score.  A narrow set (≤ ``_NARROW_PARTNERS``
-        partners) also carries ``narrow``, a scalar scan plan tuple:
+        remote/probe split, the diffusion scalars and the provider scores
+        are reused across the many ticks in between.  Every ctx carries
+        the array layout the vectorised kernels use (see
+        :meth:`_availability`) and ``score_of``, each partner's provider
+        score.  A narrow set (≤ ``_NARROW_PARTNERS`` partners) also
+        carries ``narrow``, a scalar scan plan tuple:
 
         * ``(gidx, remote column, probe row)`` per partner in plan order
           (column ``-1`` for probes, row ``-1`` for remotes);
         * ``(gidx, probe row)`` for the probe partners alone;
-        * the remote ``delays`` and ``ready`` scalars as float lists;
-        * a chunk → ``(thresholds, min, fresh_until)`` cache of the
-          per-chunk ``max(gen + delay, ready)`` list over the remote
-          columns (the same IEEE doubles as the threshold matrix).
+        * the remote ``delays`` and ``ready`` scalars as float lists.
+
+        Neither layout holds chunk thresholds: both kernels compute
+        ``max(gen + delay, ready)`` for the chunks they scan, when they
+        scan them.
         """
         # ``online_partners`` returns the same array object while the
         # online mask and partner set are unchanged, so successive ticks
@@ -1433,7 +1234,7 @@ class Engine:
         # Provider scores over the plan columns, scored on demand
         # (element-independent, see _build_protocol_state).
         plan_scores = self._provider_policy.scores(self._features(nr + pi, plan_g))
-        ctx = {
+        return {
             "plan_cols": np.array(plan_cols, dtype=np.int64),
             "plan_g": plan_g,
             "n_rem": n_rem,
@@ -1445,88 +1246,41 @@ class Engine:
             "probe_rows_arr": np.array(
                 [g - nr for g in cols if g >= nr], dtype=np.int64
             ),
-            "thr_r0": 0,
-            "thr": None,
-            "fresh": None,
             "narrow": (
                 (
                     plan,
                     [(g, row) for g, _k, row in plan if row >= 0],
                     delays.tolist(),
                     ready.tolist(),
-                    {},
                 )
                 if len(cols) <= _NARROW_PARTNERS
                 else None
             ),
-            # Cohort-tick block (see _cohort_build): valid only while
-            # the serial matches the engine's current cohort build.
-            "cohort_serial": 0,
-            "cohort_A": None,
-            "uid": self._ctx_uid,
         }
-        self._ctx_uid += 1
-        return ctx
 
-    def _availability(
-        self,
-        ctx: dict,
-        chunks_arr: np.ndarray,
-        t: float,
-        cmin: int | None = None,
-        cmax: int | None = None,
-    ) -> np.ndarray:
+    def _availability(self, ctx: dict, chunks_arr: np.ndarray, t: float) -> np.ndarray:
         """Availability matrix for ``chunks_arr`` against one partner ctx.
-
-        ``cmin``/``cmax`` are optional chunk-range bounds (plain ints) the
-        caller already knows; any superset of the scanned range is valid —
-        they only steer threshold-matrix coverage.
 
         Columns are the ctx's block layout — remote partners first, probe
         partners after, each in plan order; ``ctx["plan_cols"]`` maps plan
-        positions to columns (see ``_partner_ctx``).  Remote columns
-        answer through the diffusion-threshold matrix
-        ``thr = max(gen + delay, ready)`` with the per-chunk freshness
-        deadline ``gen + retention`` — elementwise the exact IEEE doubles
-        of the narrow plan's per-chunk threshold lists.  Probe columns
-        gather straight from the shared ``have`` bitmaps.
-
-        Cohort fast path: when :meth:`_cohort_build` already covered this
-        ctx for this very tick (serial + timestamp match), the block holds
-        the full scanned range ``[floor, newest]`` and every caller's
-        chunk set is a subset of it, so the matrix is one row gather.
+        positions to columns (see ``_partner_ctx``).  Remote columns are
+        the oracle's test (:meth:`RemoteAvailability.has_chunk`) for just
+        the scanned rows: the diffusion threshold
+        ``max(gen + delay, ready) <= t`` and the freshness deadline
+        ``gen + retention > t`` — elementwise the IEEE doubles of the
+        narrow plan's per-chunk threshold lists.  Probe columns gather
+        straight from the shared ``have`` bitmaps.
         """
-        if ctx["cohort_serial"] == self._cohort_serial and t == self._cohort_t:
-            return ctx["cohort_A"][chunks_arr - self._cohort_floor]
         avail = pb = None
         if ctx["n_rem"]:
-            if cmin is None:
-                cmin = int(chunks_arr[-1])
-                cmax = int(chunks_arr[0])
-                if cmin > cmax:  # lookahead is usually descending; be exact
-                    cmin, cmax = int(chunks_arr.min()), int(chunks_arr.max())
-            thr = ctx["thr"]
-            r0 = ctx["thr_r0"]
-            if thr is None or cmin < r0 or cmax >= r0 + thr.shape[0]:
-                r0 = cmin
-                gens = (
-                    np.arange(r0, cmax + 1 + _THR_SLACK, dtype=np.float64)
-                    * self._av_chunk_interval
-                )
-                thr = np.maximum(
-                    gens[:, None] + ctx["delays"][None, :], ctx["ready"][None, :]
-                )
-                ctx["thr_r0"] = r0
-                ctx["thr"] = thr
-                ctx["fresh"] = gens + self._av_retention
-            rows = chunks_arr - r0
-            avail = thr[rows] <= t
+            gens = chunks_arr * self._av_chunk_interval
+            avail = np.maximum(gens[:, None] + ctx["delays"], ctx["ready"]) <= t
             # Freshness (gen + retention > t) is vacuously true for every
             # scanned chunk when the retention window covers the playout
             # window: chunks sit at/above floor ≥ live − W + 1, so
             # t − gen < W·ci ≤ retention.  Only compare when it can bite.
             if self._av_retention < self._soa.window_chunks * self._av_chunk_interval:
-                avail &= (ctx["fresh"][rows] > t)[:, None]
+                avail &= (gens + self._av_retention > t)[:, None]
         rows_arr = ctx["probe_rows_arr"]
         if rows_arr.size:
             soa = self._soa
@@ -1565,8 +1319,7 @@ class Engine:
                 0.5 + i * t_stagger * 10, self._on_discovery, probe
             )
         if cohort:
-            # All probes tick in one event (ascending probe order) so the
-            # array kernels can batch across the cohort.
+            # All probes tick in one event, ascending probe order.
             self._queue.schedule(0.05, self._on_tick_cohort)
         self._queue.schedule(0.0, self._on_demand_rebalance)
 

@@ -22,6 +22,7 @@ Figs. 1–2.  The analysis framework never reads these weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
@@ -100,10 +101,10 @@ class AppProfile:
     #: that targets have had time to diffuse to remote providers too.
     live_lag_chunks: int = 3
     #: When true, all probes tick in one cohort event (ascending probe
-    #: order) instead of 46 staggered per-probe events, letting the
-    #: engine batch its per-tick kernels across the whole cohort.  Trace
-    #: semantics are unchanged — only event grouping differs — but cohort
-    #: and staggered runs of the same profile are *different* experiments.
+    #: order, each through the same per-probe tick kernel) instead of 46
+    #: staggered per-probe events.  Tick semantics are unchanged — only
+    #: event timing differs — but cohort and staggered runs of the same
+    #: profile are *different* experiments.
     tick_cohort: bool = False
 
     # --- upload direction (remote downloaders) ---------------------------
@@ -165,8 +166,10 @@ class AppProfile:
         :meth:`scaled_swarm` instead, where a scale that breaks discovery
         assumptions is an error, not a clamp.
         """
-        if factor <= 0:
-            raise ConfigurationError("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise ConfigurationError(
+                f"scale factor must be positive and finite, got {factor}"
+            )
         if self.swarm == "sparse":
             return self.scaled_swarm(int(round(self.swarm_size * factor)))
         return replace(
@@ -343,8 +346,8 @@ def napa_scale() -> AppProfile:
     the napa-wine awareness policy against the full-size swarm on the
     sparse column representation: audience demographics follow the
     BitTorrent cross-swarm study mix, tracker/gossip replies are
-    alias-sampled (O(batch), not O(swarm)), and all probes tick in one
-    cohort so the engine can batch its kernels across probes.
+    alias-sampled (O(batch), not O(swarm)), and all probes tick together
+    in one cohort event on a shared clock.
 
     The channel is the paper's HD case: 1 Mbps video in 16 kB chunks
     (a 128 ms chunk clock, ~7.8 chunks/s), the rate class the paper

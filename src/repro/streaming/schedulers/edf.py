@@ -78,11 +78,7 @@ class EdfScheduler(ChunkScheduler):
         sel = sel[np.argsort(chunks_all[sel], kind="stable")]
         chunks_arr = chunks_all[sel]
         ctx = eng._partner_ctx(probe.pi, partners)
-        # Bounds from the full hole list (newest-first): any superset of
-        # the filtered subset's range steers coverage correctly.
-        A = eng._availability(
-            ctx, chunks_arr, t, cmin=lookahead[-1], cmax=lookahead[0]
-        )
+        A = eng._availability(ctx, chunks_arr, t)
         # Flat advertised-pair walk over the plan-order permutation (see
         # the mesh-pull kernel); rows come back in ascending row order,
         # matching the deadline iteration, and holder-less chunks still

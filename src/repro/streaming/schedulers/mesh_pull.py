@@ -5,7 +5,7 @@ This is the selection loop that used to live inline in the engine tick;
 extracted) pins every byte of its trace.
 
 Policy: walk the missing chunks newest-first, find the partners that can
-serve each (remotes through the cached per-chunk diffusion thresholds,
+serve each (remotes through their per-chunk diffusion thresholds,
 probe partners through their buffer bitmaps), and pick one provider per
 chunk with the awareness-weighted softmax (or a uniform exploration draw).
 """
@@ -40,13 +40,14 @@ class MeshPullScheduler(ChunkScheduler):
         RNG and draw the provider with the same explore/CDF code, so the
         choice between them never changes a trace.
 
-        Narrow scan: per-chunk remote thresholds are cached chunk
-        constants, and their minimum and freshness deadline give a fast
-        path — while no remote partner can serve a chunk (min threshold
-        > t, or aged out everywhere), only the probe partners' bits are
-        read.  Probe bits come straight from the shared byte buffer:
-        scanned chunks sit at or above every partner's row base, and
-        chunks past the row top read as not held.  The provider draw is
+        Narrow scan: each chunk's remote thresholds
+        ``max(gen + delay, ready)`` are computed as it is visited, and
+        their minimum and the freshness deadline give a fast path — while
+        no remote partner can serve a chunk (aged out, or min threshold
+        > t), only the probe partners' bits are read.  Probe bits come
+        straight from the shared byte buffer: scanned chunks sit at or
+        above every partner's row base, and chunks past the row top read
+        as not held.  The provider draw is
         :meth:`_pick_holder`, inlined (it runs once per decision).
         """
         if not lookahead:
@@ -62,37 +63,26 @@ class MeshPullScheduler(ChunkScheduler):
         hb = soa.have_buf
         row_off = soa.row_off
         row_top = soa.row_top
-        plan, probe_plan, delays, ready, thr_cache = narrow
+        plan, probe_plan, delays, ready = narrow
         has_remotes = len(delays) > 0
+        ci = eng._av_chunk_interval
+        retention = eng._av_retention
         busy_over = probe.busy_over
         cdf_cache = eng._cdf_cache
         rng = eng._rng_engine
-        cache_get = thr_cache.get
-        thr_list = None
         for chunk in lookahead:
             if slots <= 0:
                 break
             remotes_live = False
             if has_remotes:
-                ent = cache_get(chunk)
-                if ent is None:
-                    gen = chunk * eng._av_chunk_interval
+                gen = chunk * ci
+                if t < gen + retention:
                     thr_list = [
                         r if r > (m := gen + d) else m for d, r in zip(delays, ready)
                     ]
-                    ent = (thr_list, min(thr_list), gen + eng._av_retention)
-                    if len(thr_cache) >= eng._thr_cache_max:
-                        # Age out the oldest (lowest-id) half: scans only
-                        # reach chunks near the live edge, and entries are
-                        # pure functions of (chunk, ctx), so this bounds
-                        # memory without touching the trace.
-                        for c in sorted(thr_cache)[: len(thr_cache) // 2]:
-                            del thr_cache[c]
-                    thr_cache[chunk] = ent
-                thr_list, min_thr, fresh_until = ent
-                # Some remote serves the chunk iff any threshold ≤ t,
-                # i.e. iff the minimum is (and it is still fresh).
-                remotes_live = min_thr <= t < fresh_until
+                    # Some remote serves the chunk iff any threshold ≤ t,
+                    # i.e. iff the minimum is.
+                    remotes_live = min(thr_list) <= t
             if remotes_live:
                 holders = []
                 for g, k, row in plan:
@@ -144,10 +134,7 @@ class MeshPullScheduler(ChunkScheduler):
             chunks_arr = soa.scan_arr
         else:
             chunks_arr = np.asarray(lookahead, dtype=np.int64)
-        # The hole list is newest-first, so its ends bound the range.
-        A = eng._availability(
-            ctx, chunks_arr, t, cmin=lookahead[-1], cmax=lookahead[0]
-        )
+        A = eng._availability(ctx, chunks_arr, t)
         # Chunks nobody advertises are skipped without a draw, and silent
         # columns never become holders — so the decision loop only needs
         # the advertised (chunk, partner) pairs.  Permuting A's columns

@@ -61,9 +61,7 @@ class RarestFirstScheduler(ChunkScheduler):
             chunks_arr = soa.scan_arr
         else:
             chunks_arr = np.asarray(lookahead, dtype=np.int64)
-        A = eng._availability(
-            ctx, chunks_arr, t, cmin=lookahead[-1], cmax=lookahead[0]
-        )
+        A = eng._availability(ctx, chunks_arr, t)
         # One flat nonzero over the plan-order column permutation yields
         # both the advertiser counts (bincount over the row ids — the
         # same integers ``A.sum(axis=1)`` gives) and the advertised

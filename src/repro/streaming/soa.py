@@ -2,9 +2,9 @@
 
 Every probe's playout buffer and in-flight request set live in **shared
 bitmaps** — one ``have`` row and one ``inflight`` row per probe inside
-two ``(n_probes, capacity)`` matrices — so the per-tick hole scan and the
-per-chunk provider-candidate enumeration can run as array kernels over
-all partners (and, under cohort ticks, all probes) at once.
+two ``(n_probes, capacity)`` matrices — so the per-chunk
+provider-candidate enumeration can run as one array kernel over all of a
+probe's partners at once.
 
 Each matrix is a numpy view over a flat ``bytearray``.  Vectorised
 kernels read the matrices; scalar hot paths (membership reads on remote
@@ -91,8 +91,8 @@ class SoAState:
         self.resizes = 0
         #: Last scan result.  The vectorised scheduler kernels check
         #: ``lookahead is scan_list`` to reuse ``scan_arr`` (identity ⇒
-        #: same scan, same order); the per-probe scan leaves the array to
-        #: be built on first read, the cohort scan installs its own.
+        #: same scan, same order); the scan leaves the array to be built
+        #: on first read.
         self.scan_list: list[int] = []
         self._scan_arr: np.ndarray | None = np.empty(0, dtype=np.int64)
 
@@ -102,10 +102,6 @@ class SoAState:
         if self._scan_arr is None:
             self._scan_arr = np.array(self.scan_list, dtype=np.int64)
         return self._scan_arr
-
-    @scan_arr.setter
-    def scan_arr(self, arr: np.ndarray) -> None:
-        self._scan_arr = arr
 
     # ------------------------------------------------------------ membership
     def has(self, pi: int, chunk: int) -> bool:
@@ -164,8 +160,8 @@ class SoAState:
         Prefix-wipes the held and in-flight bits below the floor (the
         playout eviction plus the in-flight prune, with ``inflight_n``
         adjusted by the bits cleared) and prunes the rescued low set.
-        Shared by the per-probe and cohort scans; callers only call it
-        when ``floor`` is past the current frontier.
+        Callers only call it when ``floor`` is past the current
+        frontier.
         """
         cut = floor - self.base[pi]
         if cut > 0:
@@ -233,58 +229,6 @@ class SoAState:
         self.scan_list = out
         self._scan_arr = None
         return floor, out
-
-    def tick_scan_all(
-        self, t: float, live_lag: int, limit: int | None
-    ) -> tuple[int, int, list[tuple[list[int], np.ndarray]]]:
-        """Evict + missing scan for *every* probe in one batched pass.
-
-        The cohort-tick twin of :meth:`tick_scan`: the window floor and
-        the scan top are probe-independent (every probe shares the live
-        clock), so after the per-row eviction sweep the held∣in-flight
-        segment of all rows is fetched with **one** 2-D gather instead of
-        ``n`` per-row slice pairs.  Returns ``(floor, newest, results)``
-        with one ``(hole_list, hole_array)`` pair per probe row — each
-        pair exactly what :meth:`tick_scan` would have produced for that
-        row (same bits, same truncation, same newest-first order), so the
-        cohort tick can replay them probe-by-probe.  Unlike
-        :meth:`tick_scan` this does **not** update ``scan_list``/
-        ``scan_arr``; the cohort driver installs each pair right before
-        the per-probe scheduler call.
-        """
-        live = int(t / self.interval)
-        floor = live - self.window_chunks + 1
-        if floor < 0:
-            floor = 0
-        n = self.n
-        evicted_to = self.evicted_to
-        for pi in range(n):
-            if floor > evicted_to[pi]:
-                self._evict(pi, floor)
-        newest = live - live_lag
-        if newest + 1 <= floor:
-            empty = np.empty(0, dtype=np.int64)
-            return floor, newest, [([], empty) for _ in range(n)]
-        for pi in range(n):
-            if newest + 1 - self.base[pi] > self.capacity:
-                self._make_room(pi, newest)
-        # After eviction the base invariant ``base ≤ evicted_to = floor``
-        # holds for every row and make_room covered the top, so every
-        # gathered slot index sits in ``[0, capacity)``.
-        cols = (
-            np.arange(floor, newest + 1, dtype=np.int64)[None, :]
-            - self.base_arr[:, None]
-        )
-        ridx = np.arange(n)[:, None]
-        miss = ~(self.have[ridx, cols] | self.inflight[ridx, cols])
-        results: list[tuple[list[int], np.ndarray]] = []
-        for pi in range(n):
-            missing = miss[pi].nonzero()[0]
-            if limit is not None and missing.size > limit:
-                missing = missing[missing.size - limit :]
-            arr = missing[::-1] + floor
-            results.append((arr.tolist(), arr))
-        return floor, newest, results
 
     # ------------------------------------------------------------ reshaping
     def _make_room(self, pi: int, top_chunk: int) -> None:

@@ -23,6 +23,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             CampaignConfig(scale=-1)
 
+    @pytest.mark.parametrize("field", ["duration_s", "scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_duration_and_scale_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            CampaignConfig(**{field: value})
+
 
 class TestRun:
     def test_runs_every_app(self, campaign_small):

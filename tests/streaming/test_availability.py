@@ -1,11 +1,20 @@
 """Remote chunk-availability oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.config import RngBundle
 from repro.errors import ConfigurationError
+from repro.population.demographics import crossswarm_audience
+from repro.population.sparse import SparseSwarmConfig, generate_sparse_swarm
 from repro.streaming.availability import AvailabilityConfig, RemoteAvailability
 from repro.streaming.chunk import ChunkClock
+from repro.streaming.engine import Engine, EngineConfig
+from repro.streaming.profiles import get_profile
+from repro.topology.testbed import build_napa_wine_testbed
+from repro.topology.world import World
 from repro.units import kbps
 
 
@@ -101,3 +110,73 @@ class TestNewestMissing:
 
     def test_len(self, clock):
         assert len(make(clock, n=17)) == 17
+
+
+def _stopped_engine(app, duration_s, retention_s):
+    """An engine run to ``duration_s`` whose remotes retain chunks for
+    ``retention_s`` (the state stays inspectable after ``run()``)."""
+    profile = get_profile(app)
+    profile = profile.scaled_swarm(1200) if app == "napa-scale" else profile.scaled(0.5)
+    profile = replace(
+        profile, availability=replace(profile.availability, retention_s=retention_s)
+    )
+    world = World()
+    testbed = build_napa_wine_testbed(world)
+    population = generate_sparse_swarm(
+        world,
+        SparseSwarmConfig(
+            size=profile.swarm_size,
+            demographics=crossswarm_audience(probe_as_fraction=profile.probe_as_fraction),
+        ),
+        RngBundle(5)["population"],
+    )
+    config = EngineConfig(duration_s=duration_s, seed=5)
+    engine = Engine(world, testbed, profile, population, config)
+    engine.run()
+    return engine
+
+
+class TestEngineKernelAgainstOracles:
+    """``Engine._availability`` ≡ the scalar oracles, cell by cell.
+
+    The engine is stopped mid-stream with a retention shorter than the
+    playout window, so the kernel's freshness cut bites (at the default
+    60 s retention against a 30 s window it is vacuous).  Remote columns
+    must equal :meth:`RemoteAvailability.has_chunk`, probe columns
+    :meth:`SoAState.has`, for every chunk of the window at the stop time.
+    """
+
+    @pytest.mark.parametrize("app, wide", [("tvants", False), ("napa-scale", True)])
+    def test_columns_match_scalar_oracles(self, app, wide):
+        t = 40.0
+        eng = _stopped_engine(app, t, retention_s=15.0)
+        soa = eng._soa
+        ci = eng._av_chunk_interval
+        assert eng._av_retention < soa.window_chunks * ci  # the cut can bite
+        # The kernel ignores sessions, so the full partner set is fair
+        # game (every session, probes' included, has closed at the end).
+        probe = max(eng._probes, key=lambda p: len(p.partners))
+        partners = probe.partners_arr
+        ctx = eng._partner_ctx(probe.pi, partners)
+        assert (ctx["narrow"] is None) == wide
+        assert 0 < ctx["n_rem"] < len(partners)  # both column families
+
+        chunks = np.arange(soa.window_floor(t), int(t / ci) + 1, dtype=np.int64)[::-1]
+        A = eng._availability(ctx, chunks, t)
+        assert A.shape == (len(chunks), len(partners))
+        nr = eng.n_remote
+        stale = 0
+        for k, g in enumerate(partners.tolist()):
+            col = A[:, ctx["plan_cols"][k]].tolist()
+            for c, got in zip(chunks.tolist(), col):
+                if g < nr:
+                    want = eng.availability.has_chunk(g, c, t)
+                    d, r = eng.availability.scalar_view(g)
+                    stale += max(c * ci + d, r) <= t and not want
+                else:
+                    want = soa.has(g - nr, c)
+                assert got == want, (g, c)
+        # Some diffused remote chunk aged out: the freshness cut was live.
+        assert stale > 0
+        # And the probe columns hold real buffer content.
+        assert A[:, ctx["n_rem"]:].any()

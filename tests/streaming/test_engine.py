@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.streaming.engine import EngineConfig, simulate
 from repro.streaming.profiles import get_profile
 from repro.trace.records import PacketKind
@@ -134,6 +135,11 @@ class TestEngineConfig:
     def test_bad_duration_rejected(self):
         with pytest.raises(Exception):
             EngineConfig(duration_s=0)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ConfigurationError, match="finite"):
+            EngineConfig(duration_s=duration)
 
     def test_bad_rebalance_rejected(self):
         with pytest.raises(Exception):

@@ -95,6 +95,14 @@ class TestScaling:
         with pytest.raises(ConfigurationError):
             tvants().scaled(0.0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("app", ["tvants", "napa-scale"])
+    def test_non_finite_factor_rejected(self, app, factor):
+        # Dense and sparse profiles alike: no bare ValueError from
+        # int(nan) or OverflowError from int(inf).
+        with pytest.raises(ConfigurationError, match="finite"):
+            get_profile(app).scaled(factor)
+
 
 class TestPeerState:
     """The mega-scale profile and the validated swarm resize."""

@@ -7,9 +7,16 @@ recorded for the same runs (``tests/golden/object_reference_hashes.json``),
 lazy peer state included.  Checked through full digests: transfer rows,
 signaling rows, host rows, total events processed and the per-kind
 dispatch counters.
+
+The availability-path cases (:class:`TestAvailabilityPathPins`) pin the
+wide and narrow scheduler paths none of those recordings reach: the
+ordering policies at napa scale under both tick schedules, and cohort
+ticks over the narrow partner sets of the paper apps.
 """
 
 import json
+import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +37,44 @@ from tests.golden.regen_engine import (
     run_engine_golden,
     run_napa_case,
 )
+
+
+#: Recorded digests of the availability-path cases (see the file's note).
+AVAILABILITY_PINS_PATH = (
+    pathlib.Path(__file__).resolve().parent / "availability_path_digests.json"
+)
+
+#: Availability-path cases: name → (app, scheduler, tick_cohort).  The
+#: napa cases resize ``napa-scale`` to 1200 peers and run 45 s at seed 7;
+#: the paper apps run at profile scale for 30 s at seed 1234.
+AVAILABILITY_PIN_CASES = {
+    **{
+        f"napa-1200-{sched}-{'cohort' if cohort else 'staggered'}": (
+            "napa-scale",
+            sched,
+            cohort,
+        )
+        for sched in ("rarest", "edf", "push")
+        for cohort in (True, False)
+    },
+    **{
+        f"{app}-{sched}-cohort": (app, sched, True)
+        for app in ("tvants", "pplive")
+        for sched in ("mesh-pull", "rarest")
+    },
+}
+
+
+def run_availability_case(name: str):
+    app, scheduler, cohort = AVAILABILITY_PIN_CASES[name]
+    if app == "napa-scale":
+        profile = get_profile(app).scaled_swarm(1200)
+        config = EngineConfig(duration_s=45.0, seed=7)
+    else:
+        profile = get_profile(app)
+        config = EngineConfig(duration_s=30.0, seed=1234)
+    profile = replace(profile, scheduler=scheduler, tick_cohort=cohort)
+    return simulate(profile, engine_config=config)
 
 
 def _napa(size):
@@ -76,22 +121,45 @@ class TestEngineIndependenceAtScale:
     def test_engines_agree_under_either_tick_schedule(self, cohort, reference):
         """Cohort ticking changes *when* probes tick (one shared clock vs
         staggered offsets) — a profile-level behaviour the engine must
-        reproduce exactly.  The multi-probe batching only exists under
-        the cohort schedule, so the ``False`` leg pins the per-probe tick
-        path too."""
+        reproduce exactly.  Both schedules run the same per-probe tick
+        kernel; the ``False`` leg pins the staggered event timing."""
         name = "napa-cohort-1200" if cohort else "napa-staggered-1200"
         assert full_digests(run_napa_case(name)) == reference["napa"][name]
+
+
+class TestAvailabilityPathPins:
+    """Every scheduler's availability reads, pinned under both tick
+    schedules.
+
+    Wide partner sets reach :meth:`Engine._availability` through the
+    rarest, EDF and push (seeding) policies; cohort ticks over the paper
+    apps' narrow sets run the mesh-pull scalar plan and the rarest matrix.
+    The digests come from an engine that cached chunk thresholds and
+    batched cohort ticks, so a match proves computing thresholds where
+    they are read changes no byte.
+    """
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        return json.loads(AVAILABILITY_PINS_PATH.read_text())["digests"]
+
+    def test_case_table_matches_recording(self, pins):
+        assert sorted(pins) == sorted(AVAILABILITY_PIN_CASES)
+
+    @pytest.mark.parametrize("name", sorted(AVAILABILITY_PIN_CASES))
+    def test_digests_match_recording(self, name, pins):
+        assert full_digests(run_availability_case(name)) == pins[name]
 
 
 class TestLazyPeerState:
     """First-contact peer state ≡ the retired swarm-wide precompute.
 
     The engine scores candidates on demand and materialises busy and
-    latency state per touched peer; its threshold rows come from cached
-    blocks.  Each piece must compute the very same IEEE doubles the old
-    eager path precomputed up front — checked at test scale against the
-    digests recorded under both peer-state paths, including the mega-scale
-    profile resized down.
+    latency state per touched peer, and computes chunk thresholds for
+    just the chunks it scans.  Each piece must compute the very same
+    IEEE doubles the old eager path precomputed up front — checked at
+    test scale against the digests recorded under both peer-state
+    paths, including the mega-scale profile resized down.
 
     The ``core`` parameter keeps its historical ids and names the
     reference side of a comparison: ``"object"`` is a run the retired

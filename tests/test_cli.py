@@ -259,6 +259,21 @@ class TestErrorExit:
         assert main(["campaign", "--apps", "tvants", "--duration", "1"]) == 2
         assert "choose from ('serial', 'process')" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--apps", "tvants", "--duration", "10", "--scale", "nan"],
+            ["campaign", "--apps", "tvants", "--duration", "nan"],
+            ["robustness", "--app", "tvants", "--scale", "inf"],
+            ["simulate", "--app", "tvants", "--duration", "inf"],
+        ],
+    )
+    def test_non_finite_scale_or_duration_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-p2ptv: error:")
+        assert "finite" in err
+
     def test_corrupt_trace_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"not an archive")
