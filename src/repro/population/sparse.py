@@ -131,6 +131,15 @@ class ScoreRowCache:
     def nbytes(self) -> int:
         return self._bytes
 
+    def release(self) -> None:
+        """Drop the builder; resident rows and counters stay readable.
+
+        ``build`` is typically a bound method of the cache's owner, so
+        releasing it breaks that owner's reference cycle.  A later miss
+        raises ``TypeError``.
+        """
+        self._build = None
+
     def row(self, key: int) -> np.ndarray:
         row = self._rows.get(key)
         if row is not None:

@@ -389,11 +389,15 @@ class Engine:
         self.config = config
         self.clock = profile.video.clock
         self._rngs = RngBundle(config.seed)
+        #: Set on entry to :meth:`run`; an engine runs once.
+        self._ran = False
         #: The protocol-event stream, bound once (hot-path draws).
         self._rng_engine = self._rngs["engine"]
         self._queue = EventQueue()
         # Pre-bound hot-path callbacks: scheduling via ``self._on_x``
         # creates a fresh bound method per call; these do it once.
+        # They put the engine in reference cycles, which ``_release``
+        # breaks once the run is over.
         self._cb_tick = self._on_tick
         self._cb_tick_cohort = self._on_tick_cohort
         self._cb_arrival = self._on_chunk_arrival
@@ -407,8 +411,7 @@ class Engine:
         #: Discovery sampler selection (profile knob, not swarm-format
         #: dependent — sparse and dense runs of one profile draw alike).
         self._alias_tables: dict[int, _BiasedSampler] = {}
-        if profile.discovery == "alias":
-            self._tracker_sample = self._tracker_sample_alias  # type: ignore[method-assign]
+        self._alias_discovery = profile.discovery == "alias"
         # The chunk-scheduling policy: which missing chunks to request, in
         # what order, from whom (see repro.streaming.schedulers).  The
         # default mesh-pull strategy is the pre-refactor selection loop
@@ -727,7 +730,11 @@ class Engine:
 
         TVAnts-style AS-biased discovery oversamples same-AS peers by
         ``discovery_as_bias``; firewalled candidates often drop the contact.
+        Profiles with ``discovery == "alias"`` draw through
+        :meth:`_tracker_sample_alias` instead.
         """
+        if self._alias_discovery:
+            return self._tracker_sample_alias(probe, k, t)
         # online ∧ ¬known ∧ ¬self, via dense masks: same ascending-index
         # pool (flatnonzero order) the isin-filtered version produced, but
         # without np.isin's per-call sort of the known set.
@@ -1000,7 +1007,10 @@ class Engine:
         Poisson-distributed number of remote downloaders, sampled with the
         profile's remote-side awareness weights (this is the ground-truth
         mechanism behind the paper's *upload*-direction metrics).
+        Packs the transfer log first, so at most one rebalance window of
+        it is ever held as tuple rows.
         """
+        self._recorder.flush()
         t = self._queue.now
         rng = self._rng_engine
         online = self._online_mask(t)
@@ -1300,8 +1310,32 @@ class Engine:
         return np.concatenate((avail, pb), axis=1)
 
     # ------------------------------------------------------------------- run
+    def _release(self) -> None:
+        """Break the reference cycles that pin a finished engine.
+
+        The events still queued at the horizon and the pre-bound
+        callbacks hold bound methods of the engine; the scheduler and the
+        score-row cache hold it through their back-reference and builder.
+        Without them the engine is freed by reference counting as soon
+        as the caller drops it, instead of waiting for the cyclic GC.
+        Every array and memo stays readable for a caller that keeps the
+        engine.
+        """
+        self._queue.clear()
+        del self._cb_tick, self._cb_tick_cohort, self._cb_arrival, self._cb_pull
+        self._scheduler.unbind()
+        self._remote_rows.release()
+
     def run(self) -> SimulationResult:
-        """Execute the experiment and return the raw result bundle."""
+        """Execute the experiment and return the raw result bundle.
+
+        An engine runs once: a second call raises before it touches any
+        state.  The finished engine stays inspectable, but its reference
+        cycles are broken (see :meth:`_release`).
+        """
+        if self._ran:
+            raise SimulationError("an engine runs once; build a new Engine to run again")
+        self._ran = True
         t_stagger = self.profile.tick_interval_s / max(1, self.n_probe)
         cohort = self.profile.tick_cohort
         for i, probe in enumerate(self._probes):
@@ -1359,6 +1393,7 @@ class Engine:
             "schedule_by_kind": schedule_by_kind,
             "peak_queue_depth": int(self._queue.peak_depth),
             "transfer_records": int(len(transfers)),
+            "transfer_log_bytes": int(transfers.nbytes),
             "signaling_intervals": int(len(signaling)),
             "bytes_recorded": int(transfers["bytes"].sum()),
             "video_records": int(video.sum()),
@@ -1384,6 +1419,7 @@ class Engine:
             seed=self.config.seed,
             **stats,
         )
+        self._release()
         return SimulationResult(
             transfers=transfers,
             signaling=signaling,

@@ -204,5 +204,19 @@ class EventQueue:
             self._now = t_end
         return processed
 
+    def clear(self) -> None:
+        """Drop every pending event; ``now`` and the counters stay.
+
+        Pending entries hold their callbacks, often bound methods of the
+        object that owns this queue, so clearing a finished run's queue
+        lets that owner be freed by reference counting.  Dropped events
+        no longer count towards :attr:`scheduled_by_kind`.
+        """
+        self._buckets.clear()
+        self._bucket_heap.clear()
+        self._active = None
+        self._active_idx = -1
+        self._n = 0
+
     def __len__(self) -> int:
         return self._n

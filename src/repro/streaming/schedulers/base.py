@@ -51,6 +51,11 @@ class ChunkScheduler:
         """Attach to one engine run (called once, before any event)."""
         self._engine = engine
 
+    def unbind(self) -> None:
+        """Detach from a finished run (the engine holds this scheduler,
+        so the back-reference would otherwise keep the two in a cycle)."""
+        self._engine = None
+
     # ------------------------------------------------------------- hooks
     def schedule_requests(self, probe, t: float, lookahead, partners, slots: int) -> None:
         """Issue up to ``slots`` chunk requests for one probe tick.

@@ -7,8 +7,9 @@ The transport layer is where access capacities become *observable*:
   one stream — the capacity constraint behind the BW findings;
 * the path bottleneck ``min(src.up, dst.down)`` paces the packets of each
   chunk train, which is what the receiver-side min-IPG estimator measures;
-* every exchange lands in a columnar :class:`TransferRecorder` (compact
-  ``array`` columns, finalised into one structured numpy array).
+* every exchange lands in a :class:`TransferRecorder`: tuple rows on the
+  hot path, packed into ``TRANSFER_DTYPE`` blocks at each flush and
+  finalised into one time-sorted structured numpy array.
 """
 
 from __future__ import annotations
@@ -42,14 +43,21 @@ class TransferRecorder:
     """Row accumulator for the engine's transfer log.
 
     Rows are buffered as plain tuples — one list append per logged packet,
-    the cheapest thing the hot path can do — and pivoted into the columnar
-    structured array once, at :meth:`finalize`.  ``append_row`` is the
-    bound list-append itself; the engine calls it directly with a
+    the cheapest thing the hot path can do.  ``append_row`` is the bound
+    list-append itself; the engine calls it directly with a
     ``(ts, src_ip, dst_ip, nbytes, kind, bottleneck)`` tuple.
+
+    :meth:`flush` packs the pending tuples into one ``TRANSFER_DTYPE``
+    block (29 B a row instead of a ≈200 B tuple) and empties the list in
+    place, so ``append_row`` stays valid.  The engine flushes at every
+    demand rebalance, which bounds the tuple backlog by one rebalance
+    window instead of the whole run.  :meth:`finalize` concatenates the
+    blocks and sorts by time; where the flushes fell never changes it.
     """
 
     def __init__(self) -> None:
         self._rows: list[tuple[float, int, int, int, int, float]] = []
+        self._blocks: list[np.ndarray] = []
         #: Hot-path entry point (the bound ``list.append``).
         self.append_row = self._rows.append
 
@@ -66,27 +74,45 @@ class TransferRecorder:
         self._rows.append((ts, src_ip, dst_ip, nbytes, int(kind), bottleneck))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return sum(map(len, self._blocks)) + len(self._rows)
 
-    def finalize(self) -> np.ndarray:
-        """Materialise the log as a time-sorted structured array.
+    def flush(self) -> None:
+        """Pack the pending rows into one structured block.
 
         One C-level pass converts the row tuples into a (n, 6) float64
         matrix whose columns are cast into the structured dtype.  Every
         integer column (IPv4 addresses, byte counts, packet kinds) is far
-        below 2^53, so the float64 round-trip is exact and the output is
-        byte-identical to the per-column zip transpose it replaced.
+        below 2^53, so the float64 round-trip is exact.
         """
-        n = len(self._rows)
-        out = np.empty(n, dtype=TRANSFER_DTYPE)
-        if n:
-            cols = np.array(self._rows, dtype=np.float64)
-            out["ts"] = cols[:, 0]
-            out["src"] = cols[:, 1]
-            out["dst"] = cols[:, 2]
-            out["bytes"] = cols[:, 3]
-            out["kind"] = cols[:, 4]
-            out["bottleneck"] = cols[:, 5]
+        rows = self._rows
+        if not rows:
+            return
+        cols = np.array(rows, dtype=np.float64)
+        rows.clear()  # in place: ``append_row`` is bound to this list
+        block = np.empty(len(cols), dtype=TRANSFER_DTYPE)
+        block["ts"] = cols[:, 0]
+        block["src"] = cols[:, 1]
+        block["dst"] = cols[:, 2]
+        block["bytes"] = cols[:, 3]
+        block["kind"] = cols[:, 4]
+        block["bottleneck"] = cols[:, 5]
+        self._blocks.append(block)
+
+    def finalize(self) -> np.ndarray:
+        """Materialise the log as a time-sorted structured array.
+
+        Blocks are concatenated in append order, so the stable sort on
+        ``ts`` sees the rows in the order they were logged — the same
+        array a single flush at the end would give.
+        """
+        self.flush()
+        if self._blocks:
+            out = np.concatenate(self._blocks)
+        else:
+            out = np.empty(0, dtype=TRANSFER_DTYPE)
+        # Keep only the concatenation, so the blocks are freed before
+        # the sort allocates its copy.
+        self._blocks = [out]
         return out[np.argsort(out["ts"], kind="stable")]
 
 

@@ -106,6 +106,13 @@ class TestCampaignManifest:
         assert counters["capture/records_in"] >= counters["capture/records_kept"] > 0
         assert manifest.telemetry["gauges"]["engine/peak_queue_depth"]["peak"] > 0
 
+    def test_transfer_log_gauge_is_the_log_size(self, campaign, manifest):
+        gauge = manifest.telemetry["gauges"]["engine/transfer_log_bytes"]["peak"]
+        assert gauge == campaign["tvants"].result.transfers.nbytes > 0
+        row = "engine/transfer_log_bytes (peak)"
+        assert row in render_manifest_summary(manifest)
+        assert row in render_manifest_diff(manifest, manifest)
+
     def test_per_kind_event_counters_present(self, manifest):
         counters = manifest.telemetry["counters"]
         dispatch = {k: v for k, v in counters.items() if k.startswith("engine/dispatch/")}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.streaming.transport import (
@@ -45,6 +47,66 @@ class TestRecorder:
         assert len(rec) == 0
         rec.record(0, 1, 2, 3, PacketKind.SIGNALING, 1.0)
         assert len(rec) == 1
+
+
+#: Few distinct timestamps, so equal-``ts`` runs straddle flush points.
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 7.5]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([int(k) for k in PacketKind]),
+        st.floats(1.0, 1e9, allow_nan=False),
+    ),
+    max_size=60,
+)
+
+
+class TestRecorderFlush:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_rows, cuts=st.sets(st.integers(0, 60)))
+    def test_flush_points_do_not_change_the_log(self, rows, cuts):
+        plain = TransferRecorder()
+        flushed = TransferRecorder()
+        for i, row in enumerate(rows):
+            if i in cuts:
+                flushed.flush()
+            plain.append_row(row)
+            flushed.append_row(row)
+            assert len(flushed) == i + 1
+        if len(rows) in cuts:
+            flushed.flush()
+        a, b = plain.finalize(), flushed.finalize()
+        assert b.dtype == TRANSFER_DTYPE
+        assert a.tobytes() == b.tobytes()
+        # Finalizing again (after more flushes) gives the same log.
+        flushed.flush()
+        assert flushed.finalize().tobytes() == a.tobytes()
+
+    def test_append_row_stays_bound_across_flushes(self):
+        rec = TransferRecorder()
+        append = rec.append_row
+        append((2.0, 1, 2, 3, int(PacketKind.VIDEO), 1.0))
+        rec.flush()
+        append((1.0, 4, 5, 6, int(PacketKind.CONTROL), 2.0))
+        assert len(rec) == 2
+        assert rec.finalize()["src"].tolist() == [4, 1]
+
+    def test_empty_flush_is_a_noop(self):
+        rec = TransferRecorder()
+        rec.flush()
+        assert len(rec) == 0 and rec._blocks == []
+        rec.record(0.0, 1, 2, 3, PacketKind.VIDEO, 1.0)
+        rec.flush()
+        rec.flush()
+        assert len(rec) == 1 and len(rec._blocks) == 1
+
+    def test_empty_recorder_finalizes_to_typed_empty(self):
+        rec = TransferRecorder()
+        rec.flush()
+        out = rec.finalize()
+        assert out.dtype == TRANSFER_DTYPE and len(out) == 0
 
 
 class TestUplinkScheduler:
