@@ -128,6 +128,8 @@ class CampaignConfig:
             )
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         get_scheduler(self.scheduler)  # unknown names raise here
 
 

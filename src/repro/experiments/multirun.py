@@ -140,6 +140,10 @@ def run_replicated_campaign(
     seeds = list(seeds) if seeds is not None else [101, 202, 303]
     if not seeds:
         raise ConfigurationError("need at least one replication seed")
+    if len(set(seeds)) != len(seeds):
+        # A repeated seed is the same replica twice: it would count twice
+        # in every mean and shrink every spread.
+        raise ConfigurationError(f"replication seeds must be distinct, got {seeds}")
     executor = resolve_executor(backend, workers, policy)
     keep = isinstance(executor, SerialExecutor)
 

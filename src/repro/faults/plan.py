@@ -44,6 +44,10 @@ class ImpairmentPlan:
     capture: CaptureOutageConfig | None = None
     clock: ClockSkewConfig | None = None
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise FaultInjectionError(f"fault seed must be non-negative, got {self.seed}")
+
     @property
     def is_noop(self) -> bool:
         """True when the plan injects nothing."""

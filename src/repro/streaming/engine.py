@@ -71,12 +71,6 @@ LOWBW_DEMAND_FACTOR = 0.15
 #: Probability that a discovery contact towards a firewalled peer fails.
 FIREWALL_DROP_PROB = 0.8
 
-#: Bound on the per-probe partner-context memo (docs/engine-internals.md,
-#: "Per-probe caches under shared arrays"): evicted entries are recomputed
-#: bit-identically on the next miss, so the bound affects memory only,
-#: never the trace.
-_PARTNER_CTX_MAX = 8
-
 #: Partner-set width up to which a partner context also carries the
 #: scalar scan plan (per-partner tuples, remote scalar lists) that
 #: the narrow-width mesh-pull kernel walks instead of building an
@@ -170,6 +164,8 @@ class EngineConfig:
             )
         if self.demand_rebalance_s <= 0:
             raise ConfigurationError("rebalance interval must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 class _BusyCounts(dict):
@@ -423,8 +419,6 @@ class Engine:
             self.config.max_probe_attempts if self._scheduler.truncate_scan else None
         )
         self._sched_push = self._scheduler.pushes
-        #: Per-probe (partners array, ctx) memo of the last lookup.
-        self._pi_ctx: list = [None] * len(self._probes)
 
     # ----------------------------------------------------------- directory
     def _build_directory(self, cols: SwarmColumns) -> None:
@@ -555,9 +549,9 @@ class Engine:
         if margin > 4096:
             margin = 4096
         self._soa = SoAState(self.n_probe, window_chunks, interval, margin)
-        #: Per-probe partner-context memos (see ``_partner_ctx``); bounded,
-        #: and entries rebuild bit-identically on miss.
-        self._ctx_store: list[dict[bytes, dict]] = [{} for _ in range(self.n_probe)]
+        #: Per-probe ``(partners array, partners bytes, ctx)`` slot of the
+        #: last partner set looked up (see ``_partner_ctx``).
+        self._ctx_slot: list = [None] * self.n_probe
         self._probes = [
             _PeerState(
                 self.n_remote + k,
@@ -1174,7 +1168,7 @@ class Engine:
 
     # --------------------------------------------------------- array kernels
     def _partner_ctx(self, pi: int, partners: np.ndarray) -> dict:
-        """Per-partner-set scan inputs for probe ``pi``, memoised per set.
+        """Per-partner-set scan inputs for probe ``pi``, kept for its last set.
 
         Partner sets only change at refresh/churn boundaries, so the
         remote/probe split, the diffusion scalars and the provider scores
@@ -1195,23 +1189,21 @@ class Engine:
         """
         # ``online_partners`` returns the same array object while the
         # online mask and partner set are unchanged, so successive ticks
-        # short-circuit to one pointer compare (the memo holds the array,
-        # so its identity cannot be recycled).
-        pair = self._pi_ctx[pi]
-        if pair is not None and pair[0] is partners:
-            return pair[1]
+        # short-circuit to one pointer compare (the slot holds the array,
+        # so its identity cannot be recycled).  An equal set in a new
+        # array reuses the ctx; any other set rebuilds it.  One slot is
+        # enough: partners only leave between refreshes, so a replaced
+        # set does not come back (and if one did, its ctx would rebuild
+        # bit-identically from the same static inputs).
+        slot = self._ctx_slot[pi]
+        if slot is not None and slot[0] is partners:
+            return slot[2]
         key = partners.tobytes()
-        store = self._ctx_store[pi]
-        ctx = store.get(key)
-        if ctx is None:
+        if slot is not None and slot[1] == key:
+            ctx = slot[2]
+        else:
             ctx = self._build_partner_ctx(pi, partners)
-            if len(store) >= _PARTNER_CTX_MAX:
-                # Oldest partner set first (insertion order): sets displaced
-                # by churn/refresh rarely return, and when one does the ctx
-                # is rebuilt bit-identically from the same static inputs.
-                store.pop(next(iter(store)))
-            store[key] = ctx
-        self._pi_ctx[pi] = (partners, ctx)
+        self._ctx_slot[pi] = (partners, key, ctx)
         return ctx
 
     def _build_partner_ctx(self, pi: int, partners: np.ndarray) -> dict:

@@ -102,9 +102,14 @@ class AppProfile:
     live_lag_chunks: int = 3
     #: When true, all probes tick in one cohort event (ascending probe
     #: order, each through the same per-probe tick kernel) instead of 46
-    #: staggered per-probe events.  Tick semantics are unchanged — only
-    #: event timing differs — but cohort and staggered runs of the same
-    #: profile are *different* experiments.
+    #: staggered per-probe events.  Each tick runs the same code, but the
+    #: timing is not neutral: probes ticking at the same instant request
+    #: the same fresh chunks, so fewer probe-held chunks are wanted by
+    #: another probe.  Flipping only this flag on the legacy campaign
+    #: (240 s, seeds 1 and 2) drops the probes' share of all bytes
+    #: (Table III) from 10.3–10.6 to 5.6–5.7 % on SopCast, 36–43 to
+    #: 19–25 % on TVAnts and 1.4–1.5 to 0.9–1.0 % on PPLive.  Cohort and
+    #: staggered runs of the same profile are *different* experiments.
     tick_cohort: bool = False
 
     # --- upload direction (remote downloaders) ---------------------------
@@ -340,7 +345,9 @@ def napa_wine() -> AppProfile:
 def napa_scale() -> AppProfile:
     """The network-aware client at the paper's *measured* swarm scale.
 
-    The paper's CCTV-1 swarms held ~1.8×10^5 concurrent peers; every other
+    PPLive's CCTV-1 capture observed ~1.8×10^5 distinct peers over the
+    experiment (181,729, see :mod:`repro.report.paper`) — a count over the
+    capture, not of concurrent peers; every other
     profile subsamples that population by two to three orders of magnitude
     so the object-per-peer directory stays affordable.  This profile runs
     the napa-wine awareness policy against the full-size swarm on the

@@ -31,7 +31,9 @@ class ChunkScheduler:
     Probe buffers live in the engine's shared bitmaps
     (``engine._soa``, a :class:`~repro.streaming.soa.SoAState`); partner
     availability comes from ``engine._partner_ctx`` and
-    ``engine._availability``.
+    ``engine._availability``.  A policy that orders the availability
+    matrix's rows hands that order to :meth:`_request_rows`, which makes
+    every provider draw.
     """
 
     #: Registry key (also the CLI / profile / campaign-config spelling).
@@ -72,29 +74,99 @@ class ChunkScheduler:
         """Arrival hook (only called when :attr:`pushes` is True)."""
 
     # ----------------------------------------------------------- helpers
-    def _pick_holder(self, holders: list[int], score_of: dict) -> int:
-        """Awareness-weighted provider choice over ``holders``.
+    def _lookahead_array(self, lookahead) -> np.ndarray:
+        """``lookahead`` as an int64 array.
 
-        The exact decision procedure of the mesh-pull core: with the
-        profile's ``explore_prob`` pick uniformly (one engine-stream
-        draw), otherwise invert the memoised softmax CDF of the holders'
-        awareness scores with one selection-stream uniform.  ``score_of``
-        maps a holder gidx to its provider score (the partner context's
-        ``score_of``).
+        The tick scan's own array is reused when the engine hands its hole
+        list straight through (identity ⇒ same scan, same order);
+        sliced/custom lookaheads (the push seeding path) convert.
         """
+        soa = self._engine._soa
+        if lookahead is soa.scan_list:
+            return soa.scan_arr
+        return np.asarray(lookahead, dtype=np.int64)
+
+    def _request_rows(self, probe, t, ctx, A, chunks, order, slots, budget=None) -> None:
+        """Request the rows of ``A`` in ``order``, drawing one provider per row.
+
+        The peer-selection half every matrix policy shares; the policy
+        supplies only the chunk order.  ``A`` is the availability matrix
+        of ``chunks`` against the partner context ``ctx``
+        (``engine._availability``) and ``order`` a list or range of its
+        row indices.  Each row visited in ``order`` uses one attempt of
+        ``budget`` (``None``: unbounded), holder-less rows included; the
+        walk also stops once ``slots`` requests have gone out.
+
+        Chunks nobody advertises are skipped without a draw, and silent
+        columns never become holders — so the walk only needs the
+        advertised (chunk, partner) pairs.  Permuting A's columns into
+        plan order first makes the flat ``nonzero`` visit each row's
+        advertisers in plan order, and each row's holders are then one
+        C-level slice of the flat partner list.  The per-pair busy check
+        reduces to subtracting ``busy_over`` (the providers at the
+        pipelining cap — almost always empty), which is the same
+        predicate ``busy[g] < cap`` evaluates pairwise.
+
+        The draw is the mesh-pull decision procedure: with the profile's
+        ``explore_prob`` pick uniformly (one engine-stream draw),
+        otherwise invert the memoised softmax CDF of the holders'
+        awareness scores with one selection-stream uniform.
+        """
+        if budget is not None:
+            order = order[:budget]
         eng = self._engine
+        ri, cj = A[:, ctx["plan_cols"]].nonzero()
+        if ri.size == 0:
+            return
+        gs_all = ctx["plan_g"][cj].tolist()
+        bounds = np.searchsorted(ri, np.arange(A.shape[0] + 1)).tolist()
+        busy_over = probe.busy_over
+        plan_scores = ctx["plan_scores"]
+        score_of = ctx["score_of"]
+        cdf_cache = eng._cdf_cache
+        cdf_cache_max = eng._cdf_cache_max
         rng = eng._rng_engine
-        if rng.random() < eng._explore_prob:
-            return int(rng.integers(len(holders)))
-        key = tuple([score_of[g] for g in holders])
-        cdf = eng._cdf_cache.get(key)
-        if cdf is None:
-            cdf = eng._provider_policy.cdf_from_scores(
-                np.array(key, dtype=np.float64)
-            ).tolist()
-            if len(eng._cdf_cache) >= eng._cdf_cache_max:
-                # Pure memo past its entry budget: drop it wholesale and
-                # warm back up (bit-identical recomputes, memory-only).
-                eng._cdf_cache.clear()
-            eng._cdf_cache[key] = cdf
-        return bisect_right(cdf, eng._rng_sel.random())
+        sel_rand = eng._rng_sel.random
+        explore_prob = eng._explore_prob
+        for r in order:
+            if slots <= 0:
+                break
+            s0 = bounds[r]
+            s1 = bounds[r + 1]
+            if s0 == s1:
+                continue
+            if busy_over:
+                holders = [g for g in gs_all[s0:s1] if g not in busy_over]
+                if not holders:
+                    continue
+                n_h = len(holders)
+            else:
+                holders = None
+                n_h = s1 - s0
+            if rng.random() < explore_prob:
+                pick = int(rng.integers(n_h))
+            else:
+                # One vectorised score gather replaces a per-holder list
+                # walk; the CDF memo keys on the scores' IEEE bytes — the
+                # same distinctions a score-tuple key draws, so the CDF
+                # lists are bit-identical.
+                if holders is None:
+                    scores = plan_scores[cj[s0:s1]]
+                else:
+                    scores = np.array(
+                        [score_of[g] for g in holders], dtype=np.float64
+                    )
+                key = scores.tobytes()
+                cdf = cdf_cache.get(key)
+                if cdf is None:
+                    cdf = eng._provider_policy.cdf_from_scores(scores).tolist()
+                    if len(cdf_cache) >= cdf_cache_max:
+                        # Pure memo past its entry budget: drop it
+                        # wholesale and warm back up (bit-identical
+                        # recomputes, memory-only).
+                        cdf_cache.clear()
+                    cdf_cache[key] = cdf
+                pick = bisect_right(cdf, sel_rand())
+            g = holders[pick] if holders is not None else gs_all[s0 + pick]
+            if eng._request_chunk(probe, g, chunks[r], t):
+                slots -= 1

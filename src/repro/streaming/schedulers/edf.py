@@ -65,47 +65,15 @@ class EdfScheduler(ChunkScheduler):
         if not lookahead:
             return
         eng = self._engine
-        soa = eng._soa
-        window_chunks = soa.window_chunks
-        interval = eng._av_chunk_interval
-        if lookahead is soa.scan_list:
-            chunks_all = soa.scan_arr
-        else:
-            chunks_all = np.asarray(lookahead, dtype=np.int64)
-        sel = ((chunks_all + window_chunks) * interval > t).nonzero()[0]
+        chunks_all = self._lookahead_array(lookahead)
+        live = (chunks_all + eng._soa.window_chunks) * eng._av_chunk_interval > t
+        sel = live.nonzero()[0]
         if sel.size == 0:
             return
-        sel = sel[np.argsort(chunks_all[sel], kind="stable")]
-        chunks_arr = chunks_all[sel]
+        chunks_arr = chunks_all[sel[np.argsort(chunks_all[sel], kind="stable")]]
         ctx = eng._partner_ctx(probe.pi, partners)
         A = eng._availability(ctx, chunks_arr, t)
-        # Flat advertised-pair walk over the plan-order permutation (see
-        # the mesh-pull kernel); rows come back in ascending row order,
-        # matching the deadline iteration, and holder-less chunks still
-        # consume an attempt below.  Holders are C-level slices of the
-        # flat partner list minus ``busy_over`` (the at-cap providers).
-        ri, cj = A[:, ctx["plan_cols"]].nonzero()
-        gs_all = ctx["plan_g"][cj].tolist()
-        chunks_list = chunks_arr.tolist()
-        nrows = len(chunks_list)
-        bounds = np.searchsorted(ri, np.arange(nrows + 1)).tolist()
-        busy_over = probe.busy_over
-        attempts = 0
-        max_attempts = eng._max_attempts
-        for i in range(nrows):
-            if slots <= 0 or attempts >= max_attempts:
-                break
-            attempts += 1
-            s0 = bounds[i]
-            s1 = bounds[i + 1]
-            if s0 == s1:
-                continue
-            if busy_over:
-                holders = [g for g in gs_all[s0:s1] if g not in busy_over]
-            else:
-                holders = gs_all[s0:s1]
-            if not holders:
-                continue
-            pick = self._pick_holder(holders, ctx["score_of"])
-            if eng._request_chunk(probe, holders[pick], chunks_list[i], t):
-                slots -= 1
+        self._request_rows(
+            probe, t, ctx, A, chunks_arr.tolist(), range(len(chunks_arr)), slots,
+            budget=eng._max_attempts,
+        )

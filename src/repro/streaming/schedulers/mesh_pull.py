@@ -34,11 +34,13 @@ class MeshPullScheduler(ChunkScheduler):
         """Newest-first selection against the shared arrays.
 
         Narrow partner sets (the context carries a scalar plan) walk the
-        chunks one by one, here; wide ones go through one availability
-        matrix (:meth:`_schedule_wide`).  Both visit holders in ascending
-        partner-column order, skip empty holder sets without touching an
-        RNG and draw the provider with the same explore/CDF code, so the
-        choice between them never changes a trace.
+        chunks one by one, here; wide ones build one availability matrix
+        and hand its rows, newest first and without an attempt budget
+        (the tick scan is already truncated), to :meth:`_request_rows`.
+        Both visit holders in ascending partner-column order, skip empty
+        holder sets without touching an RNG and draw the provider with
+        the same explore/CDF code, so the choice between them never
+        changes a trace.
 
         Narrow scan: each chunk's remote thresholds
         ``max(gen + delay, ready)`` are computed as it is visited, and
@@ -47,8 +49,8 @@ class MeshPullScheduler(ChunkScheduler):
         > t), only the probe partners' bits are read.  Probe bits come
         straight from the shared byte buffer: scanned chunks sit at or
         above every partner's row base, and chunks past the row top read
-        as not held.  The provider draw is
-        :meth:`_pick_holder`, inlined (it runs once per decision).
+        as not held.  The provider draw is :meth:`_request_rows`'s,
+        inlined (it runs once per decision) and keyed by score tuple.
         """
         if not lookahead:
             return
@@ -56,7 +58,8 @@ class MeshPullScheduler(ChunkScheduler):
         ctx = eng._partner_ctx(probe.pi, partners)
         narrow = ctx["narrow"]
         if narrow is None:
-            self._schedule_wide(probe, t, lookahead, ctx, slots)
+            A = eng._availability(ctx, self._lookahead_array(lookahead), t)
+            self._request_rows(probe, t, ctx, A, lookahead, range(len(lookahead)), slots)
             return
         score_of = ctx["score_of"]
         soa = eng._soa
@@ -117,88 +120,4 @@ class MeshPullScheduler(ChunkScheduler):
                     cdf_cache[key] = cdf
                 pick = bisect_right(cdf, eng._rng_sel.random())
             if eng._request_chunk(probe, holders[pick], chunk, t):
-                slots -= 1
-
-    def _schedule_wide(self, probe, t, lookahead, ctx, slots) -> None:
-        """The wide-set kernel: one availability matrix per tick.
-
-        Walks the matrix's advertised (chunk, partner) pairs instead of
-        every partner of every chunk.
-        """
-        eng = self._engine
-        soa = eng._soa
-        # The tick scan's own array is reused when the engine hands its
-        # hole list straight through (identity ⇒ same scan, same order);
-        # sliced/custom lookaheads (the push seeding path) convert.
-        if lookahead is soa.scan_list:
-            chunks_arr = soa.scan_arr
-        else:
-            chunks_arr = np.asarray(lookahead, dtype=np.int64)
-        A = eng._availability(ctx, chunks_arr, t)
-        # Chunks nobody advertises are skipped without a draw, and silent
-        # columns never become holders — so the decision loop only needs
-        # the advertised (chunk, partner) pairs.  Permuting A's columns
-        # into plan order first makes the flat ``nonzero`` walk visit each
-        # row's advertisers in plan order.  Each row's holders are
-        # then one C-level slice of the flat partner list: the per-pair
-        # busy check reduces to subtracting ``busy_over`` (the providers
-        # at the pipelining cap — almost always empty), which is the same
-        # predicate ``busy[g] < cap`` evaluates pairwise.
-        ri, cj = A[:, ctx["plan_cols"]].nonzero()
-        if ri.size == 0:
-            return
-        gs_arr = ctx["plan_g"][cj]
-        gs_all = gs_arr.tolist()
-        nrows = A.shape[0]
-        bounds = np.searchsorted(ri, np.arange(nrows + 1)).tolist()
-        busy_over = probe.busy_over
-        # Provider scores in plan-column order (the context carries them:
-        # a row gather when eager, subset-scored when lazy — identical
-        # doubles, so the CDF memo sees identical keys).
-        plan_scores = ctx["plan_scores"]
-        score_of = ctx["score_of"]
-        cdf_cache = eng._cdf_cache
-        cdf_cache_max = eng._cdf_cache_max
-        rng = eng._rng_engine
-        sel_rand = eng._rng_sel.random
-        explore_prob = eng._explore_prob
-        for r in range(nrows):
-            if slots <= 0:
-                break
-            s0 = bounds[r]
-            s1 = bounds[r + 1]
-            if s0 == s1:
-                continue
-            if busy_over:
-                holders = [g for g in gs_all[s0:s1] if g not in busy_over]
-                if not holders:
-                    continue
-                n_h = len(holders)
-            else:
-                holders = None
-                n_h = s1 - s0
-            chunk = lookahead[r]
-            if rng.random() < explore_prob:
-                pick = int(rng.integers(n_h))
-            else:
-                # One vectorised score gather replaces the per-holder
-                # list walk; the CDF memo keys on the scores' IEEE bytes
-                # — the same distinctions a score-tuple key draws, so
-                # the CDF lists are bit-identical.
-                if holders is None:
-                    scores = plan_scores[cj[s0:s1]]
-                else:
-                    scores = np.array(
-                        [score_of[g] for g in holders], dtype=np.float64
-                    )
-                key = scores.tobytes()
-                cdf = cdf_cache.get(key)
-                if cdf is None:
-                    cdf = eng._provider_policy.cdf_from_scores(scores).tolist()
-                    if len(cdf_cache) >= cdf_cache_max:
-                        cdf_cache.clear()
-                    cdf_cache[key] = cdf
-                pick = bisect_right(cdf, sel_rand())
-            g = holders[pick] if holders is not None else gs_all[s0 + pick]
-            if eng._request_chunk(probe, g, chunk, t):
                 slots -= 1

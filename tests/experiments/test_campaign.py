@@ -30,6 +30,11 @@ class TestConfig:
             CampaignConfig(**{field: value})
 
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            CampaignConfig(seed=-1)
+
+
 class TestRun:
     def test_runs_every_app(self, campaign_small):
         assert set(campaign_small.apps) == {"pplive", "sopcast", "tvants"}

@@ -29,6 +29,10 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run_replicated_campaign(seeds=[])
 
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ConfigurationError, match="distinct"):
+            run_replicated_campaign(seeds=[1, 1])
+
     def test_checks_recorded(self, replicated):
         assert len(replicated.check_runs) == 2
         assert len(replicated.check_runs[0]) == len(replicated.check_runs[1])

@@ -38,6 +38,12 @@ class TestPlan:
         with pytest.raises(FaultInjectionError):
             ImpairmentPlan.preset(1.5)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(FaultInjectionError, match="non-negative"):
+            ImpairmentPlan.preset(0.5, seed=-1)
+        with pytest.raises(FaultInjectionError, match="non-negative"):
+            ImpairmentPlan.preset(0.5).with_seed(-1)
+
     def test_with_seed(self):
         plan = ImpairmentPlan.preset(0.5, seed=1)
         assert plan.with_seed(9).seed == 9

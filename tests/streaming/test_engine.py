@@ -145,6 +145,10 @@ class TestEngineConfig:
         with pytest.raises(Exception):
             EngineConfig(demand_rebalance_s=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            EngineConfig(seed=-1)
+
 
 class TestBiasedSampler:
     """The alias-discovery sampler every ``discovery="alias"`` run draws from."""

@@ -12,6 +12,9 @@ re-derivation:
   provider's buffer map at request time;
 * **edf**         — within one tick a probe's requests are monotone in
   playout deadline, and no request is issued past its deadline;
+* **rarest, edf** — under a binding attempt budget, each tick's requests
+  follow the policy's ordering oracle (``order_candidates``) within the
+  budget;
 * **push**        — a chunk is only pushed to a probe that neither holds
   it nor has it in flight (duplicate suppression).
 
@@ -179,14 +182,14 @@ _RECORDERS = {
 }
 
 
-def _recorded_run(name: str):
+def _recorded_run(name: str, recorder=None, **config):
     """Simulate one small experiment under the instrumented policy."""
-    recorder = _RECORDERS[name]
+    recorder = recorder or _RECORDERS[name]
     original = SCHEDULERS[name]
     SCHEDULERS[name] = recorder
     try:
         result = simulate(
-            small_profile(name), engine_config=EngineConfig(**SMALL)
+            small_profile(name), engine_config=EngineConfig(**SMALL, **config)
         )
     finally:
         SCHEDULERS[name] = original
@@ -258,6 +261,69 @@ def test_edf_requests_are_deadline_monotone(runs):
 def test_push_actually_pushes(runs):
     _result, recording = runs("push")
     assert recording.push_count > 100, "push policy forwarded almost nothing"
+
+
+# ------------------------------------------------- order under a budget
+#: An attempt budget small enough to bind on a tvants-sized window.
+BUDGET = 4
+
+
+class _OracleOrderMixin:
+    """Check each tick's requests against the policy's ordering oracle.
+
+    A policy may skip a candidate (every advertiser at its pipelining
+    cap, a stale buffer map) but never reorder candidates or reach past
+    the first ``BUDGET`` of them, so a tick's issued chunks must be a
+    subsequence of ``oracle(...)[:BUDGET]``.  ``bound`` counts the ticks
+    the budget cut short: more candidates than the budget, yet fewer
+    requests than free slots.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.checked = 0
+        self.bound = 0
+
+    def oracle(self, t: float, holes: list[int]) -> list[int]:
+        raise NotImplementedError
+
+    def schedule_requests(self, probe, t, lookahead, partners, slots):
+        holes = list(lookahead)
+        n_ticks = len(self.ticks)
+        super().schedule_requests(probe, t, lookahead, partners, slots)
+        issued = [c for _p, c in self.ticks[-1][4]] if len(self.ticks) > n_ticks else []
+        candidates = self.oracle(t, holes)
+        head = iter(candidates[:BUDGET])
+        assert all(c in head for c in issued), (
+            f"{self.name} at t={t:.3f} issued {issued}, not a subsequence of "
+            f"its oracle's first {BUDGET} candidates {candidates[:BUDGET]}"
+        )
+        self.checked += bool(issued)
+        self.bound += len(candidates) > BUDGET and len(issued) < slots
+
+
+class BudgetRarest(_OracleOrderMixin, RecordingRarest):
+    def oracle(self, t, holes):
+        # The advertiser snapshot RecordingRarest took for this tick.
+        counts = {c: len(ads) for c, ads in self._current_ads.items()}
+        return RarestFirstScheduler.order_candidates(holes, counts)
+
+
+class BudgetEdf(_OracleOrderMixin, RecordingEdf):
+    def oracle(self, t, holes):
+        eng = self._engine
+        return EdfScheduler.order_candidates(
+            holes, t, eng._av_chunk_interval, eng._soa.window_chunks
+        )
+
+
+@pytest.mark.parametrize("recorder", [BudgetRarest, BudgetEdf], ids=["rarest", "edf"])
+def test_ordering_policies_follow_their_oracle_under_a_binding_budget(recorder):
+    _result, recording = _recorded_run(
+        recorder.name, recorder, max_probe_attempts=BUDGET
+    )
+    assert recording.checked > 100
+    assert recording.bound > 0, "the attempt budget never bound"
 
 
 # ------------------------------------------------- configuration errors

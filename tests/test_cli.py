@@ -274,6 +274,27 @@ class TestErrorExit:
         assert err.startswith("repro-p2ptv: error:")
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--app", "tvants", "--seed", "-1"],
+            ["campaign", "--apps", "tvants", "--seed", "-1"],
+            ["robustness", "--app", "tvants", "--seed", "-2"],
+            ["campaign", "--apps", "tvants", "--impair", "0.5", "--fault-seed", "-1"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-p2ptv: error:")
+        assert "seed must be non-negative" in err
+        assert "\n" == err[err.index("\n") :]  # exactly one line
+
+    def test_duplicate_replication_seeds_exit_2(self, capsys):
+        # ``--seeds 1 1`` would average one replica with itself.
+        assert main(["replicate", "--seeds", "1", "1"]) == 2
+        assert "distinct" in capsys.readouterr().err
+
     def test_corrupt_trace_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"not an archive")
