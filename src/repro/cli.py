@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.errors import ReproError
 from repro.obs.log import LEVELS, configure
@@ -57,11 +58,15 @@ def _start_profiler(args: argparse.Namespace):
 
 
 def _dump_profiler(profiler, args: argparse.Namespace, default_path: str) -> str | None:
-    """Stop ``profiler`` and dump pstats; returns the dump path."""
+    """Stop ``profiler`` and dump pstats; returns the dump path.
+
+    Missing parent directories are created.
+    """
     if profiler is None:
         return None
     profiler.disable()
     path = args.profile if args.profile != "auto" else default_path
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     profiler.dump_stats(path)
     print(
         f"cProfile stats written to {path} "
@@ -199,8 +204,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # record and the performance evidence travel together.
     default_profile = "run_profile.pstats"
     if args.manifest is not None:
-        from pathlib import Path
-
         default_profile = str(Path(args.manifest).with_suffix(".pstats"))
     profile_path = _dump_profiler(profiler, args, default_profile)
     if args.manifest is not None:

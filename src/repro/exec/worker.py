@@ -48,7 +48,7 @@ _ENGINE_COUNTERS = (
 #: engine_stats sub-dicts of per-event-kind counts, absorbed as one
 #: counter per kind (``engine/dispatch/tick`` etc.).
 _ENGINE_KIND_DICTS = ("dispatch_by_kind", "schedule_by_kind")
-_ENGINE_GAUGES = ("peak_queue_depth", "transfer_log_bytes")
+_ENGINE_GAUGES = ("peak_queue_depth", "transfer_log_bytes", "score_rows_bytes")
 
 try:  # POSIX-only stdlib module; absent on some platforms
     import resource as _resource

@@ -231,8 +231,6 @@ def _checkpoint_path(cfg: CampaignConfig, app: str) -> Path:
 
 
 def _save_checkpoint(cfg: CampaignConfig, app: str, result: SimulationResult) -> None:
-    directory = Path(cfg.checkpoint_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     bundle = TraceBundle.from_result(result)
     bundle.meta["campaign_scale"] = cfg.scale
     if cfg.impairment is not None:

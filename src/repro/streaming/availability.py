@@ -50,7 +50,12 @@ class AvailabilityConfig:
 
 
 class RemoteAvailability:
-    """Vectorised availability oracle over a remote peer population."""
+    """Vectorised availability oracle over a remote peer population.
+
+    Per-peer state is two float64 arrays, ``delays`` and ``ready_from``.
+    Vector callers index them (:meth:`subset`); scalar callers read one
+    peer through :meth:`scalar_view`.
+    """
 
     def __init__(
         self,
@@ -80,13 +85,6 @@ class RemoteAvailability:
         scale = np.where(highbw, config.highbw_scale_s, config.lowbw_scale_s)
         self.delays = base + rng.exponential(1.0, size=n) * scale
         self.ready_from = np.maximum(0.0, np.asarray(joins, dtype=float)) + config.startup_s
-        # Scalar-path mirrors of the arrays above.  Indexing a numpy array
-        # with a Python int boxes a numpy scalar each call (~10× the cost of
-        # a list lookup); the per-event oracle queries in the engine hot
-        # path use these plain-float copies instead.  The values are the
-        # exact same IEEE doubles, so both paths agree bit-for-bit.
-        self._delays_list: list[float] = self.delays.tolist()
-        self._ready_list: list[float] = self.ready_from.tolist()
         self._chunk_interval = clock.chunk_interval
         self._retention_s = config.retention_s
 
@@ -107,18 +105,20 @@ class RemoteAvailability:
         """``(diffusion delay, ready_from)`` of one peer as plain floats.
 
         Callers that probe one remote across several chunks (the engine's
-        serve-a-remote scan) hoist the two lookups and inline the
-        :meth:`has_chunk` arithmetic — same doubles, same compares.
+        per-remote pull window) hoist the two lookups and inline the
+        :meth:`has_chunk` arithmetic — same doubles, same compares.  The
+        engine reads it once per window, so boxing two numpy scalars here
+        costs less than holding the arrays a second time as float lists.
         """
-        return self._delays_list[peer_idx], self._ready_list[peer_idx]
+        return float(self.delays[peer_idx]), float(self.ready_from[peer_idx])
 
     def has_chunk(self, peer_idx: int, chunk_id: int, t: float) -> bool:
         """Whether remote ``peer_idx`` holds ``chunk_id`` at time ``t``."""
         gen = chunk_id * self._chunk_interval
         if t >= gen + self._retention_s:
             return False
-        arrival = gen + self._delays_list[peer_idx]
-        ready = self._ready_list[peer_idx]
+        delay, ready = self.scalar_view(peer_idx)
+        arrival = gen + delay
         if ready > arrival:
             arrival = ready
         return t >= arrival
@@ -143,8 +143,9 @@ class RemoteAvailability:
         """
         live = int(t / self._chunk_interval)
         # Peer holds chunk c iff gen(c) + delay <= t, i.e. c <= (t-delay)/dt.
-        have_up_to = int(max(0.0, t - self._delays_list[peer_idx]) / self._chunk_interval)
-        if t < self._ready_list[peer_idx]:
+        delay, ready = self.scalar_view(peer_idx)
+        have_up_to = int(max(0.0, t - delay) / self._chunk_interval)
+        if t < ready:
             return live
         missing = have_up_to + 1
         return missing if missing <= live else None

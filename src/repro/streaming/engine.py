@@ -216,11 +216,11 @@ class _PeerState:
 
     ``known`` and ``partners`` stay Python sets — set iteration order is
     part of the deterministic trace (it decides candidate ordering and the
-    per-partner RNG draw sequence) — but the hot path reads them through
-    cached ``np.fromiter`` materialisations refreshed only at mutation
-    points, where the original code rebuilt the arrays on every event.
-    Since an unmutated set iterates in a stable order, the cached arrays
-    are element-for-element identical to per-event rebuilds.
+    per-partner RNG draw sequence).  The tick path reads the partner set
+    through ``partners_arr``, an ``np.fromiter`` materialisation refreshed
+    by :meth:`set_partners`; since an unmutated set iterates in a stable
+    order, it is element-for-element identical to a per-tick rebuild.
+    ``known`` is materialised where it is read, once per partner refresh.
 
     Buffer and in-flight state live in the engine's shared
     :class:`~repro.streaming.soa.SoAState` bitmaps; ``pi`` (the probe
@@ -238,11 +238,6 @@ class _PeerState:
         "lat_row",
         "busy",
         "busy_over",
-        "_known_arr",
-        "_known_len",
-        "_filt",
-        "_filt_key",
-        "_filt_src",
     )
 
     def __init__(self, gidx: int, pi: int, n_peers: int, lat_row: _LatencyRow) -> None:
@@ -262,39 +257,16 @@ class _PeerState:
         #: (usually empty) complement the vectorised kernels subtract
         #: instead of re-checking ``busy`` per advertised pair.
         self.busy_over: set[int] = set()
-        self._known_arr: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._known_len = 0
-        # Online-filtered partners_arr, valid for one (mask epoch, partner
-        # array) combination — see Engine._on_tick.
-        self._filt: np.ndarray = self.partners_arr
-        self._filt_key = -1
-        self._filt_src: np.ndarray | None = None
 
     def add_known(self, g: int) -> None:
         """Record peer ``g`` as discovered."""
         self.known.add(g)
         self.known_mask[g] = True
 
-    def known_array(self) -> np.ndarray:
-        """``known`` as an int64 array (cached; ``known`` is grow-only)."""
-        if self._known_len != len(self.known):
-            self._known_arr = np.fromiter(self.known, dtype=np.int64, count=len(self.known))
-            self._known_len = len(self.known)
-        return self._known_arr
-
     def set_partners(self, partners: set[int]) -> None:
         """Replace the partner set and refresh its array materialisation."""
         self.partners = partners
         self.partners_arr = np.fromiter(partners, dtype=np.int64, count=len(partners))
-
-    def online_partners(self, online: np.ndarray, mask_key: int) -> np.ndarray:
-        """``partners_arr`` filtered to online peers, memoised per epoch."""
-        if self._filt_key != mask_key or self._filt_src is not self.partners_arr:
-            arr = self.partners_arr
-            self._filt = arr[online[arr]]
-            self._filt_key = mask_key
-            self._filt_src = arr
-        return self._filt
 
 
 @dataclass
@@ -521,16 +493,12 @@ class Engine:
         # swarms cross a boundary every few events) the boundaries are
         # sorted once and each query flips only the peers whose join or
         # leave was crossed since the previous one: O(Δ) amortised.
-        # ``_mask_key`` is the number of crossed boundaries — it changes
-        # exactly when the mask content does, which is all the per-probe
-        # ``online_partners`` memo needs.
         self._join_order = np.argsort(self._join, kind="stable")
         self._leave_order = np.argsort(self._leave, kind="stable")
         self._join_sorted = self._join[self._join_order]
         self._leave_sorted = self._leave[self._leave_order]
         self._join_ptr = 0
         self._leave_ptr = 0
-        self._mask_key = 0
         # Next boundary at/after the cached state; recompute when t
         # reaches it.
         self._mask_t1 = -np.inf
@@ -549,8 +517,8 @@ class Engine:
         if margin > 4096:
             margin = 4096
         self._soa = SoAState(self.n_probe, window_chunks, interval, margin)
-        #: Per-probe ``(partners array, partners bytes, ctx)`` slot of the
-        #: last partner set looked up (see ``_partner_ctx``).
+        #: Per-probe ``(partners bytes, ctx)`` slot of the last partner
+        #: set looked up (see ``_partner_ctx``).
         self._ctx_slot: list = [None] * self.n_probe
         self._probes = [
             _PeerState(
@@ -690,7 +658,6 @@ class Engine:
                 # already behind ``t`` must end up offline.
                 mask[self._leave_order[lp:nlp]] = False
                 self._leave_ptr = nlp
-            self._mask_key = njp + nlp
             nj = js[njp] if njp < len(js) else np.inf
             nl = ls[nlp] if nlp < len(ls) else np.inf
             self._mask_t1 = nj if nj < nl else nl
@@ -832,7 +799,7 @@ class Engine:
             for g in probe.partners
             if online[g] and rng.random() < self.profile.partner_stickiness
         }
-        known = probe.known_array()
+        known = np.fromiter(probe.known, dtype=np.int64, count=len(probe.known))
         cands = known[online[known]] if len(known) else known
         if len(kept):
             # Same filter as ~np.isin(cands, kept) in the same order, via
@@ -879,8 +846,8 @@ class Engine:
         pi = probe.pi
         _, lookahead = soa.tick_scan(pi, t, self._live_lag, self._scan_limit)
         if lookahead and probe.partners:
-            online = self._online_mask(t)
-            partners = probe.online_partners(online, self._mask_key)
+            arr = probe.partners_arr
+            partners = arr[self._online_mask(t)[arr]]
             slots = self._max_parallel - soa.inflight_n[pi]
             if slots > 0 and len(partners):
                 self._sched_requests(probe, t, lookahead, partners, slots)
@@ -1187,23 +1154,16 @@ class Engine:
         ``max(gen + delay, ready)`` for the chunks they scan, when they
         scan them.
         """
-        # ``online_partners`` returns the same array object while the
-        # online mask and partner set are unchanged, so successive ticks
-        # short-circuit to one pointer compare (the slot holds the array,
-        # so its identity cannot be recycled).  An equal set in a new
-        # array reuses the ctx; any other set rebuilds it.  One slot is
-        # enough: partners only leave between refreshes, so a replaced
-        # set does not come back (and if one did, its ctx would rebuild
-        # bit-identically from the same static inputs).
-        slot = self._ctx_slot[pi]
-        if slot is not None and slot[0] is partners:
-            return slot[2]
+        # An equal set reuses the ctx; any other set rebuilds it.  One
+        # slot is enough: partners only leave between refreshes, so a
+        # replaced set does not come back (and if one did, its ctx would
+        # rebuild bit-identically from the same static inputs).
         key = partners.tobytes()
-        if slot is not None and slot[1] == key:
-            ctx = slot[2]
-        else:
-            ctx = self._build_partner_ctx(pi, partners)
-        self._ctx_slot[pi] = (partners, key, ctx)
+        slot = self._ctx_slot[pi]
+        if slot is not None and slot[0] == key:
+            return slot[1]
+        ctx = self._build_partner_ctx(pi, partners)
+        self._ctx_slot[pi] = (key, ctx)
         return ctx
 
     def _build_partner_ctx(self, pi: int, partners: np.ndarray) -> dict:
@@ -1386,6 +1346,7 @@ class Engine:
             "peak_queue_depth": int(self._queue.peak_depth),
             "transfer_records": int(len(transfers)),
             "transfer_log_bytes": int(transfers.nbytes),
+            "score_rows_bytes": int(self._remote_rows.nbytes),
             "signaling_intervals": int(len(signaling)),
             "bytes_recorded": int(transfers["bytes"].sum()),
             "video_records": int(video.sum()),

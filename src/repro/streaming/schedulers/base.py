@@ -74,18 +74,6 @@ class ChunkScheduler:
         """Arrival hook (only called when :attr:`pushes` is True)."""
 
     # ----------------------------------------------------------- helpers
-    def _lookahead_array(self, lookahead) -> np.ndarray:
-        """``lookahead`` as an int64 array.
-
-        The tick scan's own array is reused when the engine hands its hole
-        list straight through (identity ⇒ same scan, same order);
-        sliced/custom lookaheads (the push seeding path) convert.
-        """
-        soa = self._engine._soa
-        if lookahead is soa.scan_list:
-            return soa.scan_arr
-        return np.asarray(lookahead, dtype=np.int64)
-
     def _request_rows(self, probe, t, ctx, A, chunks, order, slots, budget=None) -> None:
         """Request the rows of ``A`` in ``order``, drawing one provider per row.
 

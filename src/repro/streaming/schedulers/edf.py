@@ -65,7 +65,7 @@ class EdfScheduler(ChunkScheduler):
         if not lookahead:
             return
         eng = self._engine
-        chunks_all = self._lookahead_array(lookahead)
+        chunks_all = np.array(lookahead, dtype=np.int64)
         live = (chunks_all + eng._soa.window_chunks) * eng._av_chunk_interval > t
         sel = live.nonzero()[0]
         if sel.size == 0:

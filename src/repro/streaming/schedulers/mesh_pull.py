@@ -58,7 +58,7 @@ class MeshPullScheduler(ChunkScheduler):
         ctx = eng._partner_ctx(probe.pi, partners)
         narrow = ctx["narrow"]
         if narrow is None:
-            A = eng._availability(ctx, self._lookahead_array(lookahead), t)
+            A = eng._availability(ctx, np.array(lookahead, dtype=np.int64), t)
             self._request_rows(probe, t, ctx, A, lookahead, range(len(lookahead)), slots)
             return
         score_of = ctx["score_of"]

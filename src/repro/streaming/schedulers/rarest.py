@@ -55,7 +55,7 @@ class RarestFirstScheduler(ChunkScheduler):
         if not lookahead:
             return
         eng = self._engine
-        chunks_arr = self._lookahead_array(lookahead)
+        chunks_arr = np.array(lookahead, dtype=np.int64)
         ctx = eng._partner_ctx(probe.pi, partners)
         A = eng._availability(ctx, chunks_arr, t)
         counts = np.count_nonzero(A, axis=1)

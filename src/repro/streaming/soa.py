@@ -89,19 +89,6 @@ class SoAState:
         self.low: list[set[int]] = [set() for _ in range(n_probes)]
         self.shifts = 0
         self.resizes = 0
-        #: Last scan result.  The vectorised scheduler kernels check
-        #: ``lookahead is scan_list`` to reuse ``scan_arr`` (identity ⇒
-        #: same scan, same order); the scan leaves the array to be built
-        #: on first read.
-        self.scan_list: list[int] = []
-        self._scan_arr: np.ndarray | None = np.empty(0, dtype=np.int64)
-
-    @property
-    def scan_arr(self) -> np.ndarray:
-        """``scan_list`` as an int64 array (built once per scan)."""
-        if self._scan_arr is None:
-            self._scan_arr = np.array(self.scan_list, dtype=np.int64)
-        return self._scan_arr
 
     # ------------------------------------------------------------ membership
     def has(self, pi: int, chunk: int) -> bool:
@@ -226,8 +213,6 @@ class SoAState:
                 if len(out) == limit:
                     break
             end = i
-        self.scan_list = out
-        self._scan_arr = None
         return floor, out
 
     # ------------------------------------------------------------ reshaping

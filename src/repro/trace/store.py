@@ -89,10 +89,14 @@ def trace_digest(*arrays: np.ndarray) -> str:
 
 
 def save_trace_bundle(path: str | Path, bundle: TraceBundle) -> Path:
-    """Write a bundle to ``path`` (``.npz`` appended if missing)."""
+    """Write a bundle to ``path`` (``.npz`` appended if missing).
+
+    Missing parent directories are created.
+    """
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
+    path.parent.mkdir(parents=True, exist_ok=True)
     meta = dict(bundle.meta)
     meta["format_version"] = FORMAT_VERSION
     np.savez_compressed(

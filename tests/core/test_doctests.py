@@ -1,8 +1,9 @@
-"""Run the doctest examples embedded in the repro.core public API.
+"""Run the doctest examples embedded in the repro public API.
 
 The docstrings of the core framework carry executable examples keyed to
-the paper's equations (eqs. 1–8); CI also runs them directly via
-``pytest --doctest-modules src/repro/core``, but folding them into the
+the paper's equations (eqs. 1–8), and ``repro.topology.ip`` shows its
+address helpers; CI also runs them directly via
+``pytest --doctest-modules src/repro``, but folding them into the
 tier-1 suite keeps them green for plain ``pytest`` runs too.
 """
 
@@ -14,16 +15,18 @@ import repro.core.bias
 import repro.core.partitions
 import repro.core.preference
 import repro.core.views
+import repro.topology.ip
 
-CORE_MODULES = [
+DOCTEST_MODULES = [
     repro.core.bias,
     repro.core.partitions,
     repro.core.preference,
     repro.core.views,
+    repro.topology.ip,
 ]
 
 
-@pytest.mark.parametrize("module", CORE_MODULES, ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", DOCTEST_MODULES, ids=lambda m: m.__name__)
 def test_core_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0

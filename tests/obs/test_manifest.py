@@ -113,6 +113,14 @@ class TestCampaignManifest:
         assert row in render_manifest_summary(manifest)
         assert row in render_manifest_diff(manifest, manifest)
 
+    def test_score_rows_gauge_is_the_cache_size(self, campaign, manifest):
+        gauge = manifest.telemetry["gauges"]["engine/score_rows_bytes"]["peak"]
+        stats = campaign["tvants"].result.extras["engine_stats"]
+        assert gauge == stats["score_rows_bytes"] > 0
+        assert "score_rows_bytes" not in stats["lazy"]
+        row = "engine/score_rows_bytes (peak)"
+        assert row in render_manifest_summary(manifest)
+
     def test_per_kind_event_counters_present(self, manifest):
         counters = manifest.telemetry["counters"]
         dispatch = {k: v for k, v in counters.items() if k.startswith("engine/dispatch/")}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.streaming.engine import EngineConfig, simulate
+from repro.streaming.engine import Engine, EngineConfig, simulate
 from repro.streaming.profiles import get_profile
 from repro.trace.records import PacketKind
 from repro.units import BITS_PER_BYTE
@@ -116,6 +116,50 @@ class TestDeterminism:
             get_profile("tvants"), engine_config=EngineConfig(duration_s=20.0, seed=2)
         )
         assert not np.array_equal(a.transfers, b.transfers)
+
+
+class TestPartnerContextSlot:
+    """One partner context per probe, rebuilt exactly when its online
+    partner set changes between lookups."""
+
+    @pytest.mark.parametrize(
+        "app, wide",
+        [
+            ("tvants", False),  # narrow sets: the scalar scan plan
+            ("napa-scale", True),  # wide sets: the matrix kernel
+        ],
+    )
+    def test_one_build_per_change_of_the_online_set(self, monkeypatch, app, wide):
+        seen: dict[int, list[bytes]] = {}
+        builds: dict[int, int] = {}
+        narrow: list[bool] = []
+        lookup, build = Engine._partner_ctx, Engine._build_partner_ctx
+
+        def recording_lookup(self, pi, partners):
+            seen.setdefault(pi, []).append(partners.tobytes())
+            return lookup(self, pi, partners)
+
+        def counting_build(self, pi, partners):
+            builds[pi] = builds.get(pi, 0) + 1
+            ctx = build(self, pi, partners)
+            narrow.append(ctx["narrow"] is not None)
+            return ctx
+
+        monkeypatch.setattr(Engine, "_partner_ctx", recording_lookup)
+        monkeypatch.setattr(Engine, "_build_partner_ctx", counting_build)
+        profile = get_profile(app)
+        profile = profile.scaled_swarm(1200) if app == "napa-scale" else profile.scaled(0.5)
+        simulate(profile, engine_config=EngineConfig(duration_s=60.0, seed=43))
+
+        changes = {
+            pi: sum(k == 0 or keys[k] != keys[k - 1] for k in range(len(keys)))
+            for pi, keys in seen.items()
+        }
+        assert builds == changes
+        # Both slot outcomes occur: some lookups reuse, some rebuild.
+        n_lookups = sum(len(keys) for keys in seen.values())
+        assert len(seen) < sum(builds.values()) < n_lookups
+        assert not any(narrow) if wide else all(narrow)
 
 
 class TestHostTable:

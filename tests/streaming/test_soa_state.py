@@ -82,11 +82,6 @@ class TestTickScan:
         floor, holes = soa.tick_scan(0, t=10.0, live_lag=0, limit=3)
         assert holes == [10, 9, 8]
 
-    def test_scan_stash_identity(self, soa):
-        _, holes = soa.tick_scan(0, t=10.0, live_lag=0, limit=None)
-        assert holes is soa.scan_list
-        assert soa.scan_arr.tolist() == holes
-
     def test_eviction_wipes_below_floor(self, soa):
         soa.have_add(0, 2)
         soa.inflight_add(0, 1)

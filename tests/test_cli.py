@@ -221,6 +221,16 @@ class TestEndToEnd:
         assert rc == 0
         assert prof.exists()
 
+    def test_simulate_out_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "deeper" / "x.npz"
+        rc = main(
+            ["simulate", "--app", "tvants", "--duration", "5", "--seed", "3",
+             "--out", str(out), "--profile"]
+        )
+        assert rc == 0
+        assert out.exists()
+        assert (out.parent / "x.npz.pstats").exists()
+
     def test_campaign_no_manifest(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         rc = main(
