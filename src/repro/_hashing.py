@@ -17,32 +17,52 @@ import numpy as np
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _mix_in_place(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser applied to ``x`` (a uint64 array) in place."""
+    shifted = np.empty_like(x)
+    np.right_shift(x, np.uint64(30), out=shifted)
+    x ^= shifted
+    x *= _M1
+    np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= shifted
+    x *= _M2
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
+    return x
 
 
 def mix64(x: np.ndarray | int) -> np.ndarray:
     """The splitmix64 finaliser: a high-quality 64-bit bijective mixer."""
-    x = np.asarray(x, dtype=np.uint64).copy()
-    x ^= x >> np.uint64(30)
-    x *= _M1
-    x ^= x >> np.uint64(27)
-    x *= _M2
-    x ^= x >> np.uint64(31)
-    return x
+    return _mix_in_place(np.array(x, dtype=np.uint64))
 
 
 def pair_hash(a: np.ndarray | int, b: np.ndarray | int, seed: int = 0) -> np.ndarray:
     """Hash an ordered pair of 32-bit values (plus a seed) to 64 bits.
 
     Ordered: ``pair_hash(a, b) != pair_hash(b, a)`` in general, which is what
-    models forward/reverse path asymmetry.
+    models forward/reverse path asymmetry.  A scalar ``a`` against an array
+    ``b`` (one source, many destinations) builds one fresh uint64 key and
+    mixes it in place.
     """
-    a64 = np.asarray(a, dtype=np.uint64)
-    b64 = np.asarray(b, dtype=np.uint64)
-    key = (a64 << np.uint64(32)) | (b64 & np.uint64(0xFFFFFFFF))
     # Fold the seed in Python-int space (explicit wrap) to avoid numpy's
     # scalar-overflow warning; array ops below wrap silently by design.
-    folded = (int(seed) + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF
-    return mix64(key ^ mix64(np.uint64(folded)))
+    folded = (int(seed) + int(_GOLDEN)) & _MASK64
+    salt = int(mix64(folded))
+    if np.ndim(a) == 0:
+        # The key's high half is a constant: fold it into the salt (its bits
+        # are disjoint from the masked low half, so ``|`` and ``^`` agree).
+        key = np.array(b, dtype=np.uint64)
+        key &= np.uint64(0xFFFFFFFF)
+        key ^= np.uint64(((int(a) << 32) & _MASK64) ^ salt)
+    else:
+        a64 = np.asarray(a, dtype=np.uint64)
+        b64 = np.asarray(b, dtype=np.uint64)
+        key = (a64 << np.uint64(32)) | (b64 & np.uint64(0xFFFFFFFF))
+        key ^= np.uint64(salt)
+    return _mix_in_place(key)
 
 
 def pair_uniform(
@@ -60,4 +80,8 @@ def pair_randint(
     """Deterministic integers in ``[0, bound)`` derived from ordered pairs."""
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
-    return (pair_hash(a, b, seed) % np.uint64(bound)).astype(np.int64)
+    h = pair_hash(a, b, seed)
+    h %= np.uint64(bound)
+    # Every value is below ``bound``, so the int64 view reads it unchanged;
+    # ``[()]`` hands scalar inputs a scalar back.
+    return h.view(np.int64)[()]

@@ -44,6 +44,7 @@ _ENGINE_COUNTERS = (
     "bytes_recorded",
     "video_records",
     "video_bytes",
+    "score_row_builds",
 )
 #: engine_stats sub-dicts of per-event-kind counts, absorbed as one
 #: counter per kind (``engine/dispatch/tick`` etc.).

@@ -596,12 +596,12 @@ class Engine:
     def _build_remote_row(self, pi: int) -> np.ndarray:
         """Probe ``pi``'s full remote-policy score row, built on demand.
 
-        The ``_features`` → ``scores`` pipeline over the whole directory.
+        The ``_features`` → ``scores`` pipeline over the whole directory:
+        ``slice(None)`` hands it the directory columns themselves (views,
+        no index gather).
         """
-        n = self.n_remote + self.n_probe
-        cands = np.arange(n, dtype=np.int64)
         return self._remote_policy.scores(
-            self._features(self.n_remote + pi, cands)
+            self._features(self.n_remote + pi, slice(None))
         )
 
     def _partner_scores_for(self, probe: _PeerState, cands: np.ndarray) -> np.ndarray:
@@ -609,27 +609,32 @@ class Engine:
         return self._partner_policy.scores(self._features(probe.gidx, cands))
 
     # ------------------------------------------------------------- features
-    def _features(self, chooser: int, cands: np.ndarray) -> CandidateFeatures:
-        """Awareness features of ``cands`` from ``chooser``'s viewpoint."""
+    def _features(self, chooser: int, cands: np.ndarray | slice) -> CandidateFeatures:
+        """Awareness features of ``cands`` from ``chooser``'s viewpoint.
+
+        ``cands`` indexes the directory: global indices, or a slice.
+        """
+        asn = self._asn[cands]
+        subnet = self._subnet[cands]
         if self._need_hop:
             hops = self.world.paths.hops_many(
-                np.full(len(cands), self._ip[chooser]),
-                np.full(len(cands), self._asn[chooser]),
-                np.full(len(cands), self._subnet[chooser]),
-                np.full(len(cands), self._access_depth[chooser]),
+                self._ip[chooser],
+                self._asn[chooser],
+                self._subnet[chooser],
+                self._access_depth[chooser],
                 self._ip[cands],
-                self._asn[cands],
-                self._subnet[cands],
+                asn,
+                subnet,
                 self._access_depth[cands],
             )
             near = hops < self.config.hop_near_threshold
         else:
-            near = np.zeros(len(cands), dtype=bool)
+            near = np.zeros(len(asn), dtype=bool)
         return CandidateFeatures(
             highbw=self._highbw[cands],
-            same_as=self._asn[cands] == self._asn[chooser],
+            same_as=asn == self._asn[chooser],
             same_cc=self._cc[cands] == self._cc[chooser],
-            same_net=self._subnet[cands] == self._subnet[chooser],
+            same_net=subnet == self._subnet[chooser],
             near=near,
         )
 
@@ -1347,6 +1352,9 @@ class Engine:
             "transfer_records": int(len(transfers)),
             "transfer_log_bytes": int(transfers.nbytes),
             "score_rows_bytes": int(self._remote_rows.nbytes),
+            # ``lazy.score_row_misses`` again, at the top level where the
+            # exported counters are read (``lazy`` matches recordings).
+            "score_row_builds": int(self._remote_rows.misses),
             "signaling_intervals": int(len(signaling)),
             "bytes_recorded": int(transfers["bytes"].sum()),
             "video_records": int(video.sum()),

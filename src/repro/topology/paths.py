@@ -13,8 +13,8 @@ per-ordered-pair term that creates realistic forward/reverse asymmetry
 (paper §III-C discusses why this matters and why a coarse partition
 tolerates it).
 
-Both a scalar API (used by the event engine) and a vectorised API (used by
-packet-trace synthesis) are provided; they agree exactly.
+Both a scalar API and a vectorised API (used by the engine's awareness
+features and by packet-trace synthesis) are provided; they agree exactly.
 """
 
 from __future__ import annotations
@@ -70,9 +70,10 @@ class PathModel:
         # of a full rebuild (and a full Dijkstra sweep) per attachment.
         self._asn_index: dict[int, int] = {}
         self._transit: np.ndarray = np.zeros((0, 0), dtype=np.int16)
-        #: Dense ASN → matrix-row lookup (−1 = unregistered); rebuilt with
-        #: the matrix so vectorised queries avoid per-element dict lookups.
-        self._asn_lut: np.ndarray = np.full(1, -1, dtype=np.int64)
+        #: Dense ASN → matrix-row lookup (−1 = not in the matrix, including
+        #: the trailing entry every larger ASN clips to); rebuilt with the
+        #: matrix so vectorised queries avoid per-element dict lookups.
+        self._asn_lut: np.ndarray = np.full(1, -1, dtype=np.int32)
         self._built_version = asgraph.routes_version
 
     @property
@@ -116,7 +117,7 @@ class PathModel:
                 matrix[j, i] = v
         self._transit = matrix
         self._built_version = version
-        lut = np.full(max(all_asns, default=0) + 1, -1, dtype=np.int64)
+        lut = np.full(max(all_asns, default=0) + 2, -1, dtype=np.int32)
         lut[all_asns] = np.arange(n)
         self._asn_lut = lut
 
@@ -153,12 +154,23 @@ class PathModel:
         return ttl
 
     # ------------------------------------------------------------- vectorised
+    def _matrix_rows(self, asns: np.ndarray) -> np.ndarray | None:
+        """Transit-matrix rows of ``asns``; ``None`` if one is not in it.
+
+        ASNs beyond the lookup table clip to its trailing −1 entry and
+        negative ones to ASN 0's, which is −1 too (ASNs are positive).
+        """
+        rows = self._asn_lut.take(asns, mode="clip")
+        if rows.size and rows.min() < 0:
+            return None
+        return rows
+
     def hops_many(
         self,
-        src_ips: np.ndarray,
-        src_asns: np.ndarray,
-        src_subnets: np.ndarray,
-        src_access_depths: np.ndarray,
+        src_ips: np.ndarray | int,
+        src_asns: np.ndarray | int,
+        src_subnets: np.ndarray | int,
+        src_access_depths: np.ndarray | int,
         dst_ips: np.ndarray,
         dst_asns: np.ndarray,
         dst_subnets: np.ndarray,
@@ -166,29 +178,40 @@ class PathModel:
     ) -> np.ndarray:
         """Vectorised forward-path hop counts for aligned endpoint arrays.
 
-        Agrees element-wise with :meth:`hops`.  All inputs must have equal
-        shape; subnets are the masked network addresses
-        (:attr:`NetworkEndpoint.subnet`).
+        Agrees element-wise with :meth:`hops`.  The destination inputs
+        must have equal shape; each source input is either an array of
+        that shape or a scalar (one source against many destinations,
+        broadcast without expanding it).  Subnets are the masked network
+        addresses (:attr:`NetworkEndpoint.subnet`).
+
+        ASNs are registered and the transit matrix rebuilt only when a
+        query meets an ASN outside the matrix or the AS graph changed
+        since it was built; otherwise the query is one table gather.
         """
-        src_asns = np.asarray(src_asns, dtype=np.int64)
-        dst_asns = np.asarray(dst_asns, dtype=np.int64)
-        self.ensure_asns(np.unique(np.concatenate([src_asns, dst_asns])).tolist())
-        self._materialise()
-        si = self._asn_lut[src_asns]
-        di = self._asn_lut[dst_asns]
-        transit = self._transit[si, di].astype(np.int64)
-        jitter = pair_randint(
-            np.asarray(src_ips), np.asarray(dst_ips), self._config.jitter_span, self._config.seed
-        )
-        total = (
-            transit
-            + np.asarray(src_access_depths, dtype=np.int64)
-            + np.asarray(dst_access_depths, dtype=np.int64)
-            + jitter
-        )
-        same_subnet = np.asarray(src_subnets) == np.asarray(dst_subnets)
-        same_host = np.asarray(src_ips) == np.asarray(dst_ips)
-        return np.where(same_subnet | same_host, 0, total)
+        src_asns = np.asarray(src_asns)
+        dst_asns = np.asarray(dst_asns)
+        si = di = None
+        if self._built_version == self._asgraph.routes_version:
+            si = self._matrix_rows(src_asns)
+            di = self._matrix_rows(dst_asns)
+        if si is None or di is None:
+            self.ensure_asns(
+                np.unique(np.concatenate([src_asns.ravel(), dst_asns.ravel()])).tolist()
+            )
+            self._materialise()
+            si = self._matrix_rows(src_asns)
+            di = self._matrix_rows(dst_asns)
+        hops = pair_randint(src_ips, dst_ips, self._config.jitter_span, self._config.seed)
+        if si.ndim == 0:  # one source: a 1-D gather from its matrix row
+            hops += self._transit[int(si)].take(di)
+        else:
+            hops += self._transit[si, di]
+        hops += src_access_depths
+        hops += dst_access_depths
+        same = np.asarray(src_subnets) == np.asarray(dst_subnets)
+        same |= np.asarray(src_ips) == np.asarray(dst_ips)
+        np.copyto(hops, 0, where=same)
+        return hops
 
 
 def access_depth(endpoint: NetworkEndpoint) -> int:

@@ -121,6 +121,13 @@ class TestCampaignManifest:
         row = "engine/score_rows_bytes (peak)"
         assert row in render_manifest_summary(manifest)
 
+    def test_score_row_builds_counter_is_the_cache_misses(self, campaign, manifest):
+        builds = manifest.telemetry["counters"]["engine/score_row_builds"]
+        stats = campaign["tvants"].result.extras["engine_stats"]
+        assert builds == stats["lazy"]["score_row_misses"] > 0
+        assert "engine/score_row_builds" in render_manifest_summary(manifest)
+        assert "engine/score_row_builds" in render_manifest_diff(manifest, manifest)
+
     def test_per_kind_event_counters_present(self, manifest):
         counters = manifest.telemetry["counters"]
         dispatch = {k: v for k, v in counters.items() if k.startswith("engine/dispatch/")}

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import TopologyError
 from repro.topology.access import dsl, lan
 from repro.topology.host import INITIAL_TTL_UNIX
-from repro.topology.paths import ACCESS_DEPTH, access_depth
+from repro.topology.paths import ACCESS_DEPTH, PathModel, access_depth
 from repro.topology.testbed import build_napa_wine_testbed
 from repro.topology.world import World
 
@@ -109,6 +109,71 @@ class TestVectorised:
             np.array([b.subnet], dtype=np.uint32), np.array([access_depth(b)]),
         )
         assert out[0] == 0
+
+
+def _columns(endpoints):
+    """(ips, asns, subnets, access depths) arrays for ``endpoints``."""
+    return (
+        np.array([e.ip for e in endpoints], dtype=np.uint32),
+        np.array([e.asn for e in endpoints], dtype=np.int32),
+        np.array([e.subnet for e in endpoints], dtype=np.uint32),
+        np.array([access_depth(e) for e in endpoints], dtype=np.uint8),
+    )
+
+
+class TestOneToMany:
+    """Scalar source fields against destination arrays (a chooser's row)."""
+
+    def test_scalar_source_matches_full_arrays_and_scalar(self, setup):
+        world, tb, remotes = setup
+        src = tb.host("PoliTO-1").endpoint
+        # Itself (same host), its subnet mates, other sites and remotes.
+        dsts = [h.endpoint for h in tb] + remotes
+        dst_cols = _columns(dsts)
+        n = len(dsts)
+        one = world.paths.hops_many(
+            np.uint32(src.ip), np.int32(src.asn), np.uint32(src.subnet),
+            np.uint8(access_depth(src)), *dst_cols,
+        )
+        full = world.paths.hops_many(*_columns([src] * n), *dst_cols)
+        scalar = [world.paths.hops(src, d) for d in dsts]
+        assert one.dtype == full.dtype == np.int64
+        assert one.tolist() == full.tolist() == scalar
+        assert 0 in scalar and max(scalar) > 0
+
+    def test_unseen_destination_asn_is_registered(self, setup):
+        world, tb, remotes = setup
+        src = tb.host("BME-1").endpoint
+        paths = PathModel(world.asgraph, world.paths.config)
+        # Materialise a matrix holding the source's AS alone.
+        mates = [h.endpoint for h in tb if h.endpoint.asn == src.asn]
+        paths.hops_many(src.ip, src.asn, src.subnet, access_depth(src), *_columns(mates))
+        assert all(r.asn not in paths._asn_index for r in remotes)
+        got = paths.hops_many(
+            src.ip, src.asn, src.subnet, access_depth(src), *_columns(remotes)
+        )
+        assert all(r.asn in paths._asn_index for r in remotes)
+        assert got.tolist() == [world.paths.hops(src, r) for r in remotes]
+
+    def test_late_attachment_rebuilds_the_matrix(self):
+        world = World()
+        tb = build_napa_wine_testbed(world)
+        cn = world.access_isps("CN")[0]
+        src = world.new_endpoint(cn, dsl(4, 0.5))
+        dsts = [h.endpoint for h in tb]
+        args = (src.ip, src.asn, src.subnet, access_depth(src), *_columns(dsts))
+        before = world.paths.hops_many(*args)
+        # A late home AS in Italy, multi-homed to the Chinese ISP: a
+        # shortcut between regions that leaves the built matrix stale.
+        late = 999
+        assert late not in world.registry
+        world.add_home_as(late, "IT")
+        world.asgraph.graph.add_edge(late, cn)
+        world.asgraph.invalidate_routes()
+        after = world.paths.hops_many(*args)
+        fresh = PathModel(world.asgraph, world.paths.config)
+        assert after.tolist() == [fresh.hops(src, d) for d in dsts]
+        assert (after < before).any()
 
 
 class TestConfigAndErrors:
