@@ -108,9 +108,10 @@ class ScoreRowCache:
     Awareness scores are pure functions of static endpoint columns, so a
     row can always be rebuilt bit-identically — eviction is memory
     management, never an invalidation concern.  ``build`` maps a probe
-    index to its full float64 row; the cache keeps recently-used rows up
-    to ``budget_bytes`` and drops least-recently-used ones beyond it
-    (always retaining the row just built).
+    index to its full row (one ``uint8`` score-level index per peer);
+    the cache keeps recently-used rows up to ``budget_bytes`` and drops
+    least-recently-used ones beyond it (always retaining the row just
+    built).
     """
 
     __slots__ = ("_build", "_budget", "_rows", "_bytes", "hits", "misses", "evictions")

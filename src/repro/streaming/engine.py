@@ -79,15 +79,15 @@ FIREWALL_DROP_PROB = 0.8
 #: for the measurement behind the cut.
 _NARROW_PARTNERS = 48
 
-#: Entry cap on the swarm-wide CDF memo.  Keys are holder score tuples;
-#: at mega scale the distinct-sequence space is large enough to grow the
-#: memo without bound, so past the cap it is dropped wholesale and warms
-#: back up (entries are pure functions of their key — recomputed
-#: bit-identically, memory-only effect).
+#: Entry cap on the swarm-wide CDF memo.  Keys are the holders' level
+#: indices as bytes; at mega scale the distinct-sequence space is large
+#: enough to grow the memo without bound, so past the cap it is dropped
+#: wholesale and warms back up (entries are pure functions of their key
+#: — recomputed bit-identically, memory-only effect).
 _CDF_CACHE_MAX = 65_536
 
-#: Byte budget for the LRU of on-demand remote score rows (one float64
-#: per peer per cached probe).  Large enough that every
+#: Byte budget for the LRU of on-demand remote score rows (one ``uint8``
+#: level index per peer per cached probe).  Large enough that every
 #: probe's row fits resident at 10^6 peers — the budget is the safety
 #: valve for the next decade, not a working limit at this one.
 _SCORE_ROWS_BUDGET = 512 * 1024 * 1024
@@ -546,21 +546,16 @@ class Engine:
         #: (remote gidx, probe gidx) pairs currently attached as downloaders.
         self._attached: set[tuple[int, int]] = set()
 
-        # Whether any policy consults the hop feature — static per profile.
-        self._need_hop = any(
-            policy.weights.hop
-            for policy in (self._partner_policy, self._provider_policy, self._remote_policy)
-        )
         # Awareness scores are a pure function of the (chooser, candidate)
         # endpoint pair — every input is fixed at build time — and
-        # element-independent: scoring a candidate subset through the
-        # _features → scores pipeline yields the exact doubles a full-row
-        # gather would, and softmax over them the identical probabilities
-        # (hence an identical RNG draw sequence).  So scores are computed
-        # on demand for just the candidates at hand; only the remote
-        # policy, which the rebalance pass gathers against every online
-        # remote, keeps whole per-probe rows, built on first demand and
-        # held in an LRU under a byte budget.
+        # element-independent: classifying a candidate subset through
+        # _classes yields the exact level indices a full-row gather
+        # would, and softmax over them the identical probabilities (hence
+        # an identical RNG draw sequence).  So levels are computed on
+        # demand for just the candidates at hand; only the remote policy,
+        # which the rebalance pass gathers against every online remote,
+        # keeps whole per-probe rows (one byte per peer), built on first
+        # demand and held in an LRU under a byte budget.
         self._remote_rows = ScoreRowCache(self._build_remote_row, _SCORE_ROWS_BUDGET)
         # Tick-loop constants hoisted out of their dataclasses: _on_tick
         # fires tens of thousands of times and these attribute chains are
@@ -581,12 +576,12 @@ class Engine:
         #: tick loop can invert cached CDFs with a direct draw (same
         #: generator, same single-uniform consumption as sample_index).
         self._rng_sel = rng_sel
-        #: Per-probe memo of provider-selection CDFs (as sorted float
-        #: lists), keyed by the holders' *score* tuple: the CDF is a pure
-        #: function of the score sequence, so distinct holder sets with
-        #: equal scores share one entry — far fewer softmax evaluations
+        #: Memo of provider-selection CDFs (as sorted float lists), keyed
+        #: by the holders' *level indices* as bytes: the CDF is a pure
+        #: function of the level sequence, so distinct holder sets with
+        #: equal levels share one entry — far fewer softmax evaluations
         #: than holder-tuple keying, with bit-identical CDF values.  One
-        #: cache for the whole swarm (not per probe): equal score
+        #: cache for the whole swarm (not per probe): equal level
         #: sequences yield the same CDF no matter which probe asks.
         self._cdf_cache: dict = {}
         #: Entry budget for the CDF memo, read at the schedulers' insert
@@ -594,49 +589,48 @@ class Engine:
         self._cdf_cache_max = _CDF_CACHE_MAX
 
     def _build_remote_row(self, pi: int) -> np.ndarray:
-        """Probe ``pi``'s full remote-policy score row, built on demand.
+        """Probe ``pi``'s full remote-policy level row, built on demand.
 
-        The ``_features`` → ``scores`` pipeline over the whole directory:
-        ``slice(None)`` hands it the directory columns themselves (views,
-        no index gather).
+        :meth:`_classes` over the whole directory: ``slice(None)`` hands
+        it the directory columns themselves (views, no index gather).
+        One ``uint8`` level index per peer.
         """
-        return self._remote_policy.scores(
-            self._features(self.n_remote + pi, slice(None))
-        )
-
-    def _partner_scores_for(self, probe: _PeerState, cands: np.ndarray) -> np.ndarray:
-        """Partner-policy scores of ``cands`` from ``probe``'s viewpoint."""
-        return self._partner_policy.scores(self._features(probe.gidx, cands))
+        return self._classes(self._remote_policy, self.n_remote + pi, slice(None))
 
     # ------------------------------------------------------------- features
-    def _features(self, chooser: int, cands: np.ndarray | slice) -> CandidateFeatures:
-        """Awareness features of ``cands`` from ``chooser``'s viewpoint.
+    def _classes(
+        self, policy: SelectionPolicy, chooser: int, cands: np.ndarray | slice
+    ) -> np.ndarray:
+        """``policy``'s level indices of ``cands`` from ``chooser``'s viewpoint.
 
-        ``cands`` indexes the directory: global indices, or a slice.
+        ``cands`` indexes the directory: global indices, or a slice.  Only
+        the features ``policy`` weights are built (``highbw``, which sizes
+        the batch, is always passed: a view or a small gather).
         """
-        asn = self._asn[cands]
-        subnet = self._subnet[cands]
-        if self._need_hop:
-            hops = self.world.paths.hops_many(
-                self._ip[chooser],
-                self._asn[chooser],
-                self._subnet[chooser],
-                self._access_depth[chooser],
-                self._ip[cands],
-                asn,
-                subnet,
-                self._access_depth[cands],
+        w = policy.weights
+        return policy.classes(
+            CandidateFeatures(
+                highbw=self._highbw[cands],
+                same_as=self._asn[cands] == self._asn[chooser] if w.as_ else None,
+                same_cc=self._cc[cands] == self._cc[chooser] if w.cc else None,
+                same_net=self._subnet[cands] == self._subnet[chooser] if w.net else None,
+                near=self._near(chooser, cands) if w.hop else None,
             )
-            near = hops < self.config.hop_near_threshold
-        else:
-            near = np.zeros(len(asn), dtype=bool)
-        return CandidateFeatures(
-            highbw=self._highbw[cands],
-            same_as=asn == self._asn[chooser],
-            same_cc=self._cc[cands] == self._cc[chooser],
-            same_net=subnet == self._subnet[chooser],
-            near=near,
         )
+
+    def _near(self, chooser: int, cands: np.ndarray | slice) -> np.ndarray:
+        """Whether each of ``cands`` is fewer than the threshold hops away."""
+        hops = self.world.paths.hops_many(
+            self._ip[chooser],
+            self._asn[chooser],
+            self._subnet[chooser],
+            self._access_depth[chooser],
+            self._ip[cands],
+            self._asn[cands],
+            self._subnet[cands],
+            self._access_depth[cands],
+        )
+        return hops < self.config.hop_near_threshold
 
     def _online_mask(self, t: float) -> np.ndarray:
         """Who is online at ``t`` (shared cache — callers must not mutate).
@@ -814,8 +808,8 @@ class Engine:
             )
         slots = self.profile.max_partners - len(kept)
         if len(cands) and slots > 0:
-            scores = self._partner_scores_for(probe, cands)
-            picked = self._partner_policy.choose_scored(scores, slots)
+            levels = self._classes(self._partner_policy, probe.gidx, cands)
+            picked = self._partner_policy.choose_levels(levels, slots)
             new_partners = kept | {int(cands[i]) for i in picked}
         else:
             new_partners = kept
@@ -993,7 +987,7 @@ class Engine:
                 if k == 0:
                     continue
                 row = self._remote_rows.row(probe.pi)
-                picked = self._remote_policy.choose_scored(row[remotes], k)
+                picked = self._remote_policy.choose_levels(row[remotes], k)
                 window_end = min(t + self.config.demand_rebalance_s, self.config.duration_s)
                 for i in picked:
                     r = int(remotes[i])
@@ -1143,11 +1137,11 @@ class Engine:
         """Per-partner-set scan inputs for probe ``pi``, kept for its last set.
 
         Partner sets only change at refresh/churn boundaries, so the
-        remote/probe split, the diffusion scalars and the provider scores
+        remote/probe split, the diffusion scalars and the provider levels
         are reused across the many ticks in between.  Every ctx carries
         the array layout the vectorised kernels use (see
-        :meth:`_availability`) and ``score_of``, each partner's provider
-        score.  A narrow set (≤ ``_NARROW_PARTNERS`` partners) also
+        :meth:`_availability`) and ``level_of``, each partner's provider
+        level index.  A narrow set (≤ ``_NARROW_PARTNERS`` partners) also
         carries ``narrow``, a scalar scan plan tuple:
 
         * ``(gidx, remote column, probe row)`` per partner in plan order
@@ -1198,17 +1192,17 @@ class Engine:
                 plan.append((g, -1, g - nr))
                 p += 1
         plan_g = partners.copy()
-        # Provider scores over the plan columns, scored on demand
-        # (element-independent, see _build_protocol_state).
-        plan_scores = self._provider_policy.scores(self._features(nr + pi, plan_g))
+        # Provider level indices over the plan columns, classified on
+        # demand (element-independent, see _build_protocol_state).
+        plan_levels = self._classes(self._provider_policy, nr + pi, plan_g)
         return {
             "plan_cols": np.array(plan_cols, dtype=np.int64),
             "plan_g": plan_g,
             "n_rem": n_rem,
             "delays": delays,
             "ready": ready,
-            "plan_scores": plan_scores,
-            "score_of": dict(zip(cols, plan_scores.tolist())),
+            "plan_levels": plan_levels,
+            "level_of": dict(zip(cols, plan_levels.tolist())),
             # Probe-partner bitmap rows, in plan order, for the gather.
             "probe_rows_arr": np.array(
                 [g - nr for g in cols if g >= nr], dtype=np.int64

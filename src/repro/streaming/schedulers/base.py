@@ -98,7 +98,7 @@ class ChunkScheduler:
         The draw is the mesh-pull decision procedure: with the profile's
         ``explore_prob`` pick uniformly (one engine-stream draw),
         otherwise invert the memoised softmax CDF of the holders'
-        awareness scores with one selection-stream uniform.
+        awareness levels with one selection-stream uniform.
         """
         if budget is not None:
             order = order[:budget]
@@ -109,8 +109,8 @@ class ChunkScheduler:
         gs_all = ctx["plan_g"][cj].tolist()
         bounds = np.searchsorted(ri, np.arange(A.shape[0] + 1)).tolist()
         busy_over = probe.busy_over
-        plan_scores = ctx["plan_scores"]
-        score_of = ctx["score_of"]
+        plan_levels = ctx["plan_levels"]
+        level_of = ctx["level_of"]
         cdf_cache = eng._cdf_cache
         cdf_cache_max = eng._cdf_cache_max
         rng = eng._rng_engine
@@ -134,20 +134,19 @@ class ChunkScheduler:
             if rng.random() < explore_prob:
                 pick = int(rng.integers(n_h))
             else:
-                # One vectorised score gather replaces a per-holder list
-                # walk; the CDF memo keys on the scores' IEEE bytes — the
-                # same distinctions a score-tuple key draws, so the CDF
-                # lists are bit-identical.
+                # The CDF memo keys on the holders' level indices, one
+                # byte each: the same distinctions their scores draw, so
+                # the CDF lists are bit-identical.  The narrow mesh-pull
+                # kernel builds the same keys.
                 if holders is None:
-                    scores = plan_scores[cj[s0:s1]]
+                    key = plan_levels[cj[s0:s1]].tobytes()
                 else:
-                    scores = np.array(
-                        [score_of[g] for g in holders], dtype=np.float64
-                    )
-                key = scores.tobytes()
+                    key = bytes([level_of[g] for g in holders])
                 cdf = cdf_cache.get(key)
                 if cdf is None:
-                    cdf = eng._provider_policy.cdf_from_scores(scores).tolist()
+                    cdf = eng._provider_policy.cdf_from_levels(
+                        np.frombuffer(key, dtype=np.uint8)
+                    ).tolist()
                     if len(cdf_cache) >= cdf_cache_max:
                         # Pure memo past its entry budget: drop it
                         # wholesale and warm back up (bit-identical

@@ -79,8 +79,8 @@ class PushEpidemicScheduler(MeshPullScheduler):
             return
         k = min(self.push_fanout, len(targets))
         cands = np.array(targets, dtype=np.int64)
-        scores = eng._partner_scores_for(probe, cands)
-        picked = eng._partner_policy.choose_scored(scores, k)
+        levels = eng._classes(eng._partner_policy, probe.gidx, cands)
+        picked = eng._partner_policy.choose_levels(levels, k)
         pg = probe.gidx
         nbytes = eng._chunk_bytes
         free = eng._ul_free

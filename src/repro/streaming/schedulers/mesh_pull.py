@@ -50,7 +50,8 @@ class MeshPullScheduler(ChunkScheduler):
         straight from the shared byte buffer: scanned chunks sit at or
         above every partner's row base, and chunks past the row top read
         as not held.  The provider draw is :meth:`_request_rows`'s,
-        inlined (it runs once per decision) and keyed by score tuple.
+        inlined (it runs once per decision) and keyed by the same level
+        bytes.
         """
         if not lookahead:
             return
@@ -61,7 +62,7 @@ class MeshPullScheduler(ChunkScheduler):
             A = eng._availability(ctx, np.array(lookahead, dtype=np.int64), t)
             self._request_rows(probe, t, ctx, A, lookahead, range(len(lookahead)), slots)
             return
-        score_of = ctx["score_of"]
+        level_of = ctx["level_of"]
         soa = eng._soa
         hb = soa.have_buf
         row_off = soa.row_off
@@ -109,11 +110,11 @@ class MeshPullScheduler(ChunkScheduler):
             if rng.random() < eng._explore_prob:
                 pick = int(rng.integers(len(holders)))
             else:
-                key = tuple([score_of[g] for g in holders])
+                key = bytes([level_of[g] for g in holders])
                 cdf = cdf_cache.get(key)
                 if cdf is None:
-                    cdf = eng._provider_policy.cdf_from_scores(
-                        np.array(key, dtype=np.float64)
+                    cdf = eng._provider_policy.cdf_from_levels(
+                        np.frombuffer(key, dtype=np.uint8)
                     ).tolist()
                     if len(cdf_cache) >= eng._cdf_cache_max:
                         cdf_cache.clear()

@@ -164,10 +164,7 @@ class SignalingBook:
                 self._closed.append((key[0], key[1], start, t_end, key[2], key[3]))
         self._open.clear()
         self._pair_keys.clear()
-        out = np.empty(len(self._closed), dtype=SIGNALING_DTYPE)
-        for i, (src, dst, start, stop, interval, nbytes) in enumerate(self._closed):
-            out[i] = (src, dst, start, stop, interval, nbytes)
-        return out
+        return np.array(self._closed, dtype=SIGNALING_DTYPE)
 
 
 class UplinkScheduler:

@@ -118,6 +118,9 @@ class TestCampaignManifest:
         stats = campaign["tvants"].result.extras["engine_stats"]
         assert gauge == stats["score_rows_bytes"] > 0
         assert "score_rows_bytes" not in stats["lazy"]
+        # One byte (a level index) per directory peer per resident row.
+        directory = stats["remote_peers"] + stats["probes"]
+        assert gauge == stats["lazy"]["score_rows_cached"] * directory
         row = "engine/score_rows_bytes (peak)"
         assert row in render_manifest_summary(manifest)
 

@@ -1,12 +1,15 @@
-"""Whole-directory score rows ≡ on-demand scoring of the same candidates.
+"""Whole-directory level rows ≡ on-demand scoring of the same candidates.
 
 The engine keeps per-probe remote-policy rows over the whole directory
-(``Engine._build_remote_row``) and scores every other candidate batch on
-demand (``Engine._features``).  Both rest on the scores being
-element-independent: a candidate's score is a function of the (chooser,
-candidate) pair alone, so a row gathered at any subset is that subset
-scored by itself, bit for bit.  The row's hop feature comes from the
-one-to-many hop kernel and must agree with the scalar path model.
+(``Engine._build_remote_row``), one ``uint8`` level index per peer, and
+classifies every other candidate batch on demand (``Engine._classes``).
+Both rest on the levels being element-independent: a candidate's level is
+a function of the (chooser, candidate) pair alone, so a row gathered at
+any subset is that subset classified by itself.  The row must also encode
+the float scores exactly: ``levels[row[c]]`` is bit-equal to the
+weighted-sum score of the candidates' five features.  The row's hop
+feature comes from the one-to-many hop kernel and must agree with the
+scalar path model.
 
 The full-width case (the 1.8×10^5-peer directory perfbench times) carries
 the ``scale`` marker: deselected by default, run with ``-m scale``.
@@ -75,27 +78,49 @@ def _probes(engine):
     return sorted({0, engine.n_probe // 2, engine.n_probe - 1})
 
 
+def _float_scores(engine, chooser, cands):
+    """The weighted-sum score of ``cands``, all five features, in float64."""
+    w = engine._remote_policy.weights
+    n = len(cands)
+    near = engine._near(chooser, cands) if w.hop else np.zeros(n, dtype=bool)
+    score = np.zeros(n, dtype=np.float64)
+    for weight, feature in (
+        (w.bw, engine._highbw[cands]),
+        (w.as_, engine._asn[cands] == engine._asn[chooser]),
+        (w.cc, engine._cc[cands] == engine._cc[chooser]),
+        (w.net, engine._subnet[cands] == engine._subnet[chooser]),
+        (w.hop, near),
+    ):
+        if weight:
+            score += weight * feature
+    return score
+
+
 def test_row_gathers_equal_subset_scoring(built):
     engine, _ = built
     n = engine.n_remote + engine.n_probe
+    policy = engine._remote_policy
     rng = np.random.default_rng(11)
     for pi in _probes(engine):
+        gidx = engine.n_remote + pi
         row = engine._build_remote_row(pi)
-        assert row.shape == (n,)
+        assert row.shape == (n,) and row.dtype == np.uint8
         for size in (1, 64, 1024):
             cands = rng.choice(n, size=min(size, n), replace=False)
-            scored = engine._remote_policy.scores(
-                engine._features(engine.n_remote + pi, cands)
+            assert np.array_equal(row[cands], engine._classes(policy, gidx, cands))
+            scored = _float_scores(engine, gidx, cands)
+            assert np.array_equal(
+                policy.levels[row[cands]].view(np.uint64), scored.view(np.uint64)
             )
-            assert np.array_equal(row[cands].view(np.uint64), scored.view(np.uint64))
 
 
 def test_row_hop_feature_equals_scalar_hops(built):
     engine, cols = built
-    assert engine._need_hop == (engine.profile.name == "napa-scale")
-    if not engine._need_hop:
-        # No policy weights hops: the feature is all False, never computed.
-        assert not engine._features(engine.n_remote, slice(None)).near.any()
+    policies = (engine._partner_policy, engine._provider_policy, engine._remote_policy)
+    need_hop = any(policy.weights.hop for policy in policies)
+    assert need_hop == (engine.profile.name == "napa-scale")
+    if not need_hop:
+        # No policy weights hops: the feature is never computed.
         return
     paths = engine.world.paths
     threshold = engine.config.hop_near_threshold
@@ -103,12 +128,15 @@ def test_row_hop_feature_equals_scalar_hops(built):
     rng = np.random.default_rng(12)
     for pi in _probes(engine):
         gidx = engine.n_remote + pi
-        feats = engine._features(gidx, slice(None))
+        near = engine._near(gidx, slice(None))
         row = engine._build_remote_row(pi)
-        scored = engine._remote_policy.scores(feats)
-        assert np.array_equal(row.view(np.uint64), scored.view(np.uint64))
+        everyone = np.arange(n)
+        assert np.array_equal(
+            engine._remote_policy.levels[row].view(np.uint64),
+            _float_scores(engine, gidx, everyone).view(np.uint64),
+        )
         chooser = engine.testbed.hosts[pi].endpoint
         sample = np.concatenate([rng.choice(engine.n_remote, 200), np.arange(engine.n_remote, n)])
         hops = [paths.hops(chooser, _endpoint(engine, cols, int(g))) for g in sample]
-        assert feats.near[sample].tolist() == [h < threshold for h in hops]
+        assert near[sample].tolist() == [h < threshold for h in hops]
         assert min(hops) == 0 and max(hops) >= threshold  # both sides covered

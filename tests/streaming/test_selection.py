@@ -131,20 +131,25 @@ class TestCachedPathBitEquivalence:
     Byte-identical simulation output hinges on three equivalences, each
     checked here for both the returned index *and* the post-call RNG
     state: the k=1 fast path vs ``Generator.choice``, the memoised-CDF
-    path vs the uncached one, and score-row sampling vs feature sampling.
+    path vs the uncached one, and level-row sampling vs feature sampling.
     """
 
     @staticmethod
-    def _scores(seed, n):
-        return np.random.default_rng(seed ^ 0xA5).normal(0.0, 2.0, size=n)
+    def _policy(rng):
+        return SelectionPolicy(SelectionWeights(bw=1.0, as_=0.7, hop=0.3), rng)
+
+    @staticmethod
+    def _levels(seed, n, policy):
+        return np.random.default_rng(seed ^ 0xA5).integers(
+            0, len(policy.levels), size=n, dtype=np.uint8
+        )
 
     @given(seed=st.integers(0, 2**20), n=st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
     def test_k1_fast_path_matches_generator_choice(self, seed, n):
-        scores = self._scores(seed, n)
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        policy = SelectionPolicy(SelectionWeights(bw=1.0), a)
-        p = policy.probabilities_from_scores(scores)
+        policy = self._policy(a)
+        p = policy.probabilities_from_levels(self._levels(seed, n, policy))
         got = policy._sample(n, 1, p)
         want = b.choice(n, size=1, replace=False, p=p)
         assert got.tolist() == want.tolist()
@@ -153,12 +158,12 @@ class TestCachedPathBitEquivalence:
     @given(seed=st.integers(0, 2**20), n=st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
     def test_cached_cdf_matches_uncached_choose(self, seed, n):
-        scores = self._scores(seed, n)
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        cached = SelectionPolicy(SelectionWeights(bw=1.0), a)
-        uncached = SelectionPolicy(SelectionWeights(bw=1.0), b)
-        cdf = cached.cdf_from_scores(scores)  # consumes no draws
-        assert cached.sample_index(cdf) == uncached.choose_one_scored(scores)
+        cached = self._policy(a)
+        uncached = self._policy(b)
+        idx = self._levels(seed, n, cached)
+        cdf = cached.cdf_from_levels(idx)  # consumes no draws
+        assert cached.sample_index(cdf) == int(uncached.choose_levels(idx, 1)[0])
         assert a.bit_generator.state == b.bit_generator.state
 
     @given(seed=st.integers(0, 2**20), n=st.integers(1, 10), k=st.integers(1, 4))
@@ -171,8 +176,103 @@ class TestCachedPathBitEquivalence:
             near=rng_feats.random(n) < 0.5,
         )
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        by_row = SelectionPolicy(SelectionWeights(bw=1.0, as_=0.7, hop=0.3), a)
-        by_feats = SelectionPolicy(SelectionWeights(bw=1.0, as_=0.7, hop=0.3), b)
-        row = by_row.scores(f)  # precomputed score row, as the engine caches
-        assert by_row.choose_scored(row, k).tolist() == by_feats.choose(f, k).tolist()
+        by_row = self._policy(a)
+        by_feats = self._policy(b)
+        row = by_row.classes(f)  # precomputed level row, as the engine caches
+        assert by_row.choose_levels(row, k).tolist() == by_feats.choose(f, k).tolist()
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def _oracle_scores(w, f):
+    """The float scoring formula the level tables must reproduce exactly."""
+    score = np.zeros(len(f), dtype=np.float64)
+    if w.bw:
+        score += w.bw * f.highbw
+    if w.as_:
+        score += w.as_ * f.same_as
+    if w.cc:
+        score += w.cc * f.same_cc
+    if w.net:
+        score += w.net * f.same_net
+    if w.hop:
+        score += w.hop * f.near
+    return score
+
+
+def _oracle_probabilities(scores, temperature):
+    """The array softmax: exponentiate every candidate's logit."""
+    logits = scores / temperature
+    logits -= logits.max()
+    p = np.exp(logits)
+    return p / p.sum()
+
+
+#: Every feature combination, bit ``b`` of row ``i`` set iff ``i >> b & 1``.
+_ALL_CODES = np.arange(32)
+_ALL_FEATS = CandidateFeatures(*(((_ALL_CODES >> b) & 1).astype(bool) for b in range(5)))
+
+# Weights drawn from a small pool so that zero, negative and equal weights
+# (hence colliding sums) are common.
+_weight = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 2.5, -0.3]),
+    st.floats(-8.0, 8.0, allow_nan=False),
+)
+_weights = st.builds(SelectionWeights, _weight, _weight, _weight, _weight, _weight)
+_temperature = st.one_of(
+    st.sampled_from([1.0, 0.5, 3.0]),
+    st.floats(1e-2, 1e2, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestLevelTables:
+    """The one-byte level encoding is exact, and so is its softmax."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=_weights, temperature=_temperature)
+    def test_levels_reproduce_float_scores_for_every_code(self, w, temperature):
+        policy = SelectionPolicy(w, np.random.default_rng(0), temperature)
+        assert len(policy.levels) <= 32
+        assert np.all(np.diff(policy.levels) > 0)  # sorted and distinct
+        idx = policy.classes(_ALL_FEATS)
+        assert idx.dtype == np.uint8
+        assert np.array_equal(
+            policy.levels[idx].view(np.uint64), _oracle_scores(w, _ALL_FEATS).view(np.uint64)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w=_weights,
+        temperature=_temperature,
+        seed=st.integers(0, 2**20),
+        n=st.sampled_from([1, 7, 8, 9, 127, 128, 129, 100_000]),
+    )
+    def test_tabulated_softmax_equals_array_path(self, w, temperature, seed, n):
+        policy = SelectionPolicy(w, np.random.default_rng(0), temperature)
+        rng = np.random.default_rng(seed)
+        # A random subset of the levels is present, often not the top one.
+        present = rng.choice(len(policy.levels), size=rng.integers(1, len(policy.levels) + 1))
+        idx = rng.choice(present, size=n).astype(np.uint8)
+        want = _oracle_probabilities(policy.levels[idx], temperature)
+        got = policy.probabilities_from_levels(idx)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        cdf = want.cumsum()
+        cdf /= cdf[-1]
+        assert np.array_equal(policy.cdf_from_levels(idx).view(np.uint64), cdf.view(np.uint64))
+
+    def test_unweighted_features_are_not_read(self, rng):
+        policy = SelectionPolicy(SelectionWeights(as_=1.0), rng)
+        f = CandidateFeatures(highbw=np.array([True, False]), same_as=np.array([False, True]))
+        assert policy.scores(f).tolist() == [0.0, 1.0]
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["bw", "as_", "cc", "net", "hop"])
+    def test_non_finite_weight_rejected(self, field, bad):
+        with pytest.raises(ConfigurationError):
+            SelectionWeights(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_temperature_rejected(self, rng, bad):
+        with pytest.raises(ConfigurationError):
+            SelectionPolicy(SelectionWeights(bw=1.0), rng, temperature=bad)

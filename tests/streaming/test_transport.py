@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -192,3 +192,45 @@ class TestSignalingBook:
     def test_invalid_interval_rejected(self):
         with pytest.raises(SimulationError):
             SignalingBook().open(1, 2, 0.0, 0.0, 10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 4),
+                st.integers(0, 4),
+                st.floats(0.0, 100.0, allow_nan=False),
+                st.sampled_from([0.5, 2.0, 10.0]),
+                st.integers(1, 2000),
+            ),
+            max_size=40,
+        ),
+        st.floats(0.0, 120.0, allow_nan=False),
+    )
+    # One interval closed, one still open at t_end, one opened after it.
+    @example(
+        [(True, 1, 2, 0.0, 2.0, 80), (True, 2, 1, 5.0, 0.5, 90),
+         (False, 1, 2, 30.0, 2.0, 1), (True, 3, 4, 70.0, 10.0, 7)],
+        60.0,
+    )
+    def test_finalize_equals_row_by_row_table(self, ops, t_end):
+        """The one-call table equals a row-by-row fill, open intervals included."""
+        book = SignalingBook()
+        for is_open, src, dst, t, interval, nbytes in sorted(ops, key=lambda op: op[3]):
+            if is_open:
+                book.open(src, dst, t, interval, nbytes)
+            else:
+                book.close(src, dst, t)
+        still_open = [
+            (k[0], k[1], start, t_end, k[2], k[3])
+            for k, start in book._open.items()
+            if t_end > start
+        ]
+        rows = book._closed + still_open
+        want = np.empty(len(rows), dtype=SIGNALING_DTYPE)
+        for i, row in enumerate(rows):
+            want[i] = row
+        got = book.finalize(t_end)
+        assert got.dtype == SIGNALING_DTYPE
+        assert got.tobytes() == want.tobytes()
