@@ -153,6 +153,10 @@ class AwarenessAnalyzer:
         tallies from the view builder plus per-partition indicator sums
         (``analysis/<metric>/<direction>_preferred``) — pure accounting;
         the report is identical with or without it.
+
+        The contributor views come from :func:`~repro.core.views.
+        build_views`, so the report's ``views`` are the table's shared
+        contributor views that the report tables read afterwards.
         """
         probe_ips = np.asarray(table.probe_ips, dtype=np.uint32)
         views = build_views(

@@ -124,8 +124,10 @@ def windowed_from_flows(
 ) -> WindowedScores:
     """Convenience: windowed P/B straight from a flow table.
 
-    Rebuilds the contributor view, keeps its flows' activity intervals
-    aligned, and delegates to :func:`windowed_preference`.
+    Reads the table's shared contributor view (the analyzer's, when it
+    ran first; see :func:`~repro.core.views.build_views`), aligns its
+    flows' activity intervals, and delegates to
+    :func:`windowed_preference`.
     """
     from repro.core.views import build_views
     from repro.heuristics.contributors import contributor_mask

@@ -14,6 +14,7 @@ from e (paper §III-C, "directionality"); rows without reverse traffic get
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -93,7 +94,7 @@ def _reverse_lookup(
     keys = (flows["src"].astype(np.uint64) << np.uint64(32)) | flows["dst"].astype(
         np.uint64
     )
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)  # keys are unique per flow: no ties to keep in order
     sorted_keys = keys[order]
     q = (query_src.astype(np.uint64) << np.uint64(32)) | query_dst.astype(np.uint64)
     idx = np.searchsorted(sorted_keys, q)
@@ -112,18 +113,48 @@ def build_views(
     contributors_only: bool = True,
     telemetry=None,
 ) -> ViewPair:
-    """Build download/upload contributor views from a flow table.
+    """Download/upload contributor views of a flow table, shared per table.
 
     With ``contributors_only=False`` the views cover *all* contacted peers
-    (used by Table II's "all peers" statistics and Table III's all-peer
-    bias column).  ``telemetry`` (an optional
-    :class:`~repro.obs.telemetry.Telemetry`) is forwarded to the
-    contributor heuristic for classification tallies.
+    (used by Table III's and the analyzer's all-peer bias and by
+    Figure 1).  ``telemetry`` (an optional
+    :class:`~repro.obs.telemetry.Telemetry`) receives the contributor
+    heuristic's classification tallies, on every call.
+
+    The pair is built once and remembered in ``table.views_memo`` under
+    ``(criteria, contributors_only)`` for as long as some caller holds
+    it.  The analyzer's report holds its contributor views for the life
+    of a campaign, so Tables II and III, Figure 1 and
+    :func:`~repro.core.timeseries.windowed_from_flows` read the very
+    pair the analyzer scored; a pair nobody holds is freed, so the memo
+    keeps nothing resident itself.  Callers must not write to the
+    views' arrays.
     """
     flows = table.flows
-    probe_ips = np.asarray(table.probe_ips, dtype=np.uint32)
     if contributors_only:
-        keep = contributor_mask(flows, criteria, telemetry=telemetry)
+        key = (criteria or ContributorCriteria(), True)
+    else:
+        key = (None, False)  # every flow is kept; criteria are unused
+    ref, contributors = table.views_memo.get(key, (None, 0))
+    views = ref() if ref is not None else None
+    if views is None:
+        views, contributors = _build_views(table, key[0])
+        table.views_memo[key] = (weakref.ref(views), contributors)
+    if telemetry is not None and contributors_only and len(flows):
+        telemetry.count("heuristics/flows_classified", len(flows))
+        telemetry.count("heuristics/contributors", contributors)
+    return views
+
+
+def _build_views(
+    table: FlowTable, criteria: ContributorCriteria | None
+) -> tuple[ViewPair, int]:
+    """The views of ``table`` over the flows ``criteria`` keep (all flows
+    when ``criteria`` is None), and how many flows that is."""
+    flows = table.flows
+    probe_ips = np.asarray(table.probe_ips, dtype=np.uint32)
+    if criteria is not None:
+        keep = contributor_mask(flows, criteria)
     else:
         keep = np.ones(len(flows), dtype=bool)
 
@@ -150,4 +181,4 @@ def build_views(
         min_ipg=rev_ipg,
         ttl=rev_ttl,
     )
-    return ViewPair(download=download, upload=upload)
+    return ViewPair(download=download, upload=upload), int(keep.sum())

@@ -201,17 +201,19 @@ def run_shard(spec: ShardSpec) -> ShardOutcome:
 
         try:
             with tel.timer("analyze"):
-                flows = campaign_mod.build_flow_table(
-                    result.transfers,
-                    result.signaling,
-                    result.hosts,
-                    world.paths,
-                    telemetry=tel,
-                )
-                registry = analysis_registry(result.hosts, world)
-                report = campaign_mod.AwarenessAnalyzer(registry).analyze(
-                    flows, telemetry=tel
-                )
+                with tel.timer("flow_table"):
+                    flows = campaign_mod.build_flow_table(
+                        result.transfers,
+                        result.signaling,
+                        result.hosts,
+                        world.paths,
+                        telemetry=tel,
+                    )
+                with tel.timer("awareness"):
+                    registry = analysis_registry(result.hosts, world)
+                    report = campaign_mod.AwarenessAnalyzer(registry).analyze(
+                        flows, telemetry=tel
+                    )
         except ReproError as exc:
             failures.append(
                 campaign_mod.CampaignFailure(

@@ -5,6 +5,12 @@ For each application the paper reports mean/max over probes of:
 * received and transmitted stream rate (kb/s, all traffic incl. signaling);
 * the number of distinct peers seen ("all peers");
 * the number of contributing peers in each direction.
+
+One grouped pass over each run's flows computes them: a flow lands in the
+slot of the probe at each end, per-slot byte sums stay ``uint64`` and one
+``np.unique`` of packed ``(slot, peer)`` keys counts distinct peers.
+Slots follow ``probe_ips``, so means add in probe order.  Contributor
+counts read the run's shared views (:func:`repro.core.views.build_views`).
 """
 
 from __future__ import annotations
@@ -51,31 +57,29 @@ class Table2:
 
 
 def _per_probe_stats(flows: FlowTable, duration_s: float) -> dict:
-    probe_ips = flows.probe_ips
+    probe_ips = np.asarray(flows.probe_ips, dtype=np.uint32)
+    n = len(probe_ips)
+    order = np.argsort(probe_ips)
+
+    def slots(ips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which addresses are probes, and each such probe's slot."""
+        hit = np.isin(ips, probe_ips)
+        return hit, order[np.searchsorted(probe_ips[order], ips[hit])]
+
+    f = flows.flows
+    rx, rx_slot = slots(f["dst"])
+    tx, tx_slot = slots(f["src"])
+    rx_bytes, tx_bytes = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
+    np.add.at(rx_bytes, rx_slot, f["bytes"][rx])
+    np.add.at(tx_bytes, tx_slot, f["bytes"][tx])
+    rx_rates = to_kbps(rx_bytes * 8.0 / duration_s)
+    tx_rates = to_kbps(tx_bytes * 8.0 / duration_s)
+    peers = np.concatenate((f["src"][rx], f["dst"][tx])).astype(np.uint64)
+    pairs = np.unique(np.concatenate((rx_slot, tx_slot)).astype(np.uint64) << 32 | peers)
+    n_peers = np.bincount((pairs >> 32).astype(np.intp), minlength=n)
     contrib = build_views(flows)
-    everyone = build_views(flows, contributors_only=False)
-
-    rx_rates, tx_rates, n_peers = [], [], []
-    contrib_rx, contrib_tx = [], []
-    for ip in probe_ips:
-        ip = int(ip)
-        rx = flows.received_by(ip)
-        tx = flows.sent_by(ip)
-        rx_rates.append(to_kbps(rx["bytes"].sum() * 8.0 / duration_s))
-        tx_rates.append(to_kbps(tx["bytes"].sum() * 8.0 / duration_s))
-        n_peers.append(
-            len(np.unique(np.concatenate([rx["src"], tx["dst"]])))
-        )
-        contrib_rx.append(int((contrib.download.probe_ip == np.uint32(ip)).sum()))
-        contrib_tx.append(int((contrib.upload.probe_ip == np.uint32(ip)).sum()))
-
-    total_observed = len(
-        np.unique(
-            np.concatenate(
-                [everyone.download.peer_ip, everyone.upload.peer_ip]
-            )
-        )
-    )
+    contrib_rx = np.bincount(slots(contrib.download.probe_ip)[1], minlength=n)
+    contrib_tx = np.bincount(slots(contrib.upload.probe_ip)[1], minlength=n)
     return {
         "rx_kbps_mean": float(np.mean(rx_rates)),
         "rx_kbps_max": float(np.max(rx_rates)),
@@ -87,7 +91,7 @@ def _per_probe_stats(flows: FlowTable, duration_s: float) -> dict:
         "contrib_rx_max": int(np.max(contrib_rx)),
         "contrib_tx_mean": float(np.mean(contrib_tx)),
         "contrib_tx_max": int(np.max(contrib_tx)),
-        "total_observed_peers": total_observed,
+        "total_observed_peers": len(np.unique(peers)),
     }
 
 

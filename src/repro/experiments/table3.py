@@ -3,7 +3,9 @@
 Per application: the percentage of peers and bytes exchanged *among*
 NAPA-WINE probes, over the contributor set and over all contacted peers.
 Directions are pooled (a probe↔probe exchange counts on both sides), as in
-the paper's single per-app row.
+the paper's single per-app row.  Both view sets are the run's shared
+views (:func:`repro.core.views.build_views`): the contributor set is the
+one the run's awareness analysis scored.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ The transport layer is where access capacities become *observable*:
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
+
 import numpy as np
 
 from repro.errors import SimulationError
@@ -79,23 +82,20 @@ class TransferRecorder:
     def flush(self) -> None:
         """Pack the pending rows into one structured block.
 
-        One C-level pass converts the row tuples into a (n, 6) float64
-        matrix whose columns are cast into the structured dtype.  Every
-        integer column (IPv4 addresses, byte counts, packet kinds) is far
-        below 2^53, so the float64 round-trip is exact.
+        One ``np.fromiter`` pass flattens the row tuples into a (n, 6)
+        float64 matrix whose columns are cast into the structured dtype.
+        Every integer column (IPv4 addresses, byte counts, packet kinds)
+        is far below 2^53, so the float64 round-trip is exact.
         """
         rows = self._rows
         if not rows:
             return
-        cols = np.array(rows, dtype=np.float64)
+        n = len(rows)
+        cols = np.fromiter(chain.from_iterable(rows), np.float64, count=6 * n).reshape(n, 6)
         rows.clear()  # in place: ``append_row`` is bound to this list
-        block = np.empty(len(cols), dtype=TRANSFER_DTYPE)
-        block["ts"] = cols[:, 0]
-        block["src"] = cols[:, 1]
-        block["dst"] = cols[:, 2]
-        block["bytes"] = cols[:, 3]
-        block["kind"] = cols[:, 4]
-        block["bottleneck"] = cols[:, 5]
+        block = np.empty(n, dtype=TRANSFER_DTYPE)
+        for i, name in enumerate(TRANSFER_DTYPE.names):
+            block[name] = cols[:, i]
         self._blocks.append(block)
 
     def finalize(self) -> np.ndarray:
@@ -158,13 +158,28 @@ class SignalingBook:
                 self._closed.append((key[0], key[1], start, t, key[2], key[3]))
 
     def finalize(self, t_end: float) -> np.ndarray:
-        """Close everything still open and return the interval table."""
-        for key, start in list(self._open.items()):
-            if t_end > start:
-                self._closed.append((key[0], key[1], start, t_end, key[2], key[3]))
+        """Close everything still open and return the interval table.
+
+        The table is filled column by column: one ``np.fromiter`` per
+        field reads the row tuples straight into the field's dtype, and
+        the intervals still open at ``t_end`` close in one vectorised
+        step.  The book is spent afterwards.
+        """
+        closed, keys = self._closed, list(self._open)
+        starts = np.fromiter(self._open.values(), np.float64, count=len(keys))
+        live = t_end > starts
         self._open.clear()
         self._pair_keys.clear()
-        return np.array(self._closed, dtype=SIGNALING_DTYPE)
+        table = np.empty(len(closed) + int(live.sum()), dtype=SIGNALING_DTYPE)
+        head, tail = table[: len(closed)], table[len(closed) :]
+        for i, name in enumerate(SIGNALING_DTYPE.names):
+            head[name] = np.fromiter(map(itemgetter(i), closed), head[name].dtype, len(closed))
+        # Open keys are (src, dst, interval, bytes).
+        for i, name in enumerate(("src", "dst", "interval", "bytes")):
+            tail[name] = np.fromiter(map(itemgetter(i), keys), tail[name].dtype, len(keys))[live]
+        tail["start"] = starts[live]
+        tail["stop"] = t_end
+        return table
 
 
 class UplinkScheduler:

@@ -35,6 +35,10 @@ INTERNAL_HOPS: dict[ASTier, int] = {
     ASTier.CAMPUS: 1,
 }
 
+#: Distance sentinel of :meth:`ASGraph.transit_matrix`; twice it still
+#: fits in int64, so the min-plus sums cannot overflow.
+_UNREACHABLE = np.iinfo(np.int64).max // 4
+
 
 @dataclass(frozen=True, slots=True)
 class ASGraphConfig:
@@ -72,6 +76,10 @@ class ASGraph:
         #: PathModel` compares it to decide when its dense transit-hop
         #: matrix must be rebuilt.
         self.routes_version = 0
+        #: All-pairs entry-cost distances over every node (node → row
+        #: index, matrix), computed by :meth:`transit_matrix` and dropped
+        #: with the other route caches.
+        self._all_pairs: tuple[dict[int, int], np.ndarray] | None = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -169,6 +177,7 @@ class ASGraph:
         """
         self._hop_cache.clear()
         self._entry_cost.clear()
+        self._all_pairs = None
         self.routes_version += 1
 
     def _edge_weight(self, u: int, v: int, d: dict) -> int:
@@ -212,6 +221,40 @@ class ASGraph:
             return int(dist[dst_asn]) + self.internal_hops(src_asn)
         except KeyError as exc:
             raise TopologyError(f"no AS path AS{src_asn} → AS{dst_asn}") from exc
+
+    def transit_matrix(self, asns: list[int]) -> np.ndarray:
+        """:meth:`transit_hops` for every ordered pair of ``asns`` (int64).
+
+        One Floyd–Warshall (min-plus) pass over the whole graph with the
+        Dijkstra weights — entering ``v`` costs ``1 + internal_hops(v)`` —
+        gives every border-to-border distance; each row then adds its
+        source AS's own internal hops.  Integer arithmetic makes it equal
+        to the per-source Dijkstra, pair for pair.  The distances are
+        kept until :meth:`invalidate_routes`, so registering more ASes
+        costs one gather.
+        """
+        if self._all_pairs is None:
+            nodes = list(self._graph.nodes)
+            index = {asn: i for i, asn in enumerate(nodes)}
+            entry = np.array([1 + self.internal_hops(a) for a in nodes], dtype=np.int64)
+            dist = np.full((len(nodes), len(nodes)), _UNREACHABLE, dtype=np.int64)
+            for u, v in self._graph.edges:
+                dist[index[u], index[v]] = entry[index[v]]
+                dist[index[v], index[u]] = entry[index[u]]
+            np.fill_diagonal(dist, 0)
+            for k in range(len(nodes)):
+                np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+            self._all_pairs = (index, dist)
+        index, dist = self._all_pairs
+        try:
+            rows = np.array([index[int(a)] for a in asns], dtype=np.intp)
+        except KeyError as exc:
+            raise TopologyError(f"AS{exc.args[0]} not in graph") from exc
+        matrix = dist[np.ix_(rows, rows)]
+        if matrix.size and matrix.max() >= _UNREACHABLE:
+            raise TopologyError("no AS path between some of the requested ASes")
+        internal = np.array([self.internal_hops(int(a)) for a in asns], dtype=np.int64)
+        return matrix + internal[:, None]
 
     def _hops_from(self, src_asn: int) -> dict[int, float]:
         cached = self._hop_cache.get(src_asn)

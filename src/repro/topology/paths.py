@@ -66,8 +66,8 @@ class PathModel:
         # Dense transit-hop matrix over the registered ASNs.  Registration
         # (ensure_asns) is cheap and eager; the matrix itself materialises
         # lazily at the first hop query, so a world assembled through many
-        # ``add_home_as`` calls pays for *one* all-pairs computation instead
-        # of a full rebuild (and a full Dijkstra sweep) per attachment.
+        # ``add_home_as`` calls pays for *one* all-pairs computation
+        # (:meth:`ASGraph.transit_matrix`) instead of one per attachment.
         self._asn_index: dict[int, int] = {}
         self._transit: np.ndarray = np.zeros((0, 0), dtype=np.int16)
         #: Dense ASN → matrix-row lookup (−1 = not in the matrix, including
@@ -103,19 +103,10 @@ class PathModel:
         if self._transit.shape[0] == n and self._built_version == version:
             return
         all_asns = sorted(self._asn_index, key=self._asn_index.__getitem__)
-        # A topology mutation (late-attached AS) can shorten existing pair
-        # distances, so cached rows survive only while the version matches.
-        old = self._transit.shape[0] if self._built_version == version else 0
-        matrix = np.zeros((n, n), dtype=np.int16)
-        if old:
-            matrix[:old, :old] = self._transit
-        for i in range(old, n):
-            a = all_asns[i]
-            for j in range(i + 1):
-                v = self._asgraph.transit_hops(a, all_asns[j])
-                matrix[i, j] = v
-                matrix[j, i] = v
-        self._transit = matrix
+        # The AS graph drops its all-pairs distances when the topology
+        # changes (a late-attached AS can shorten existing pairs); new
+        # registrations alone only gather more rows of them.
+        self._transit = self._asgraph.transit_matrix(all_asns).astype(np.int16)
         self._built_version = version
         lut = np.full(max(all_asns, default=0) + 2, -1, dtype=np.int32)
         lut[all_asns] = np.arange(n)

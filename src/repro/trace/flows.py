@@ -39,13 +39,27 @@ def _pair_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 class FlowTable:
-    """A structured flow array plus the host ground truth it references."""
+    """A structured flow array plus the host ground truth it references.
+
+    A table is read-only once built.  ``views_memo`` is where
+    :func:`repro.core.views.build_views` remembers the views it derived
+    from this table, held weakly; it is analysis state, not part of the
+    table, so it never pickles.
+    """
 
     def __init__(self, flows: np.ndarray, hosts: HostTable) -> None:
         if flows.dtype != FLOW_DTYPE:
             raise TraceError(f"flow table dtype mismatch: {flows.dtype}")
         self.flows = flows
         self.hosts = hosts
+        self.views_memo: dict = {}
+
+    def __getstate__(self) -> dict:
+        return {"flows": self.flows, "hosts": self.hosts}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.views_memo = {}
 
     def __len__(self) -> int:
         return len(self.flows)
@@ -181,7 +195,9 @@ def build_flow_table(
             _pair_keys(signaling["src"], signaling["dst"]),
         )
     )
-    order = np.argsort(keys, kind="stable")
+    # Every reduction below (uint64 sums, float min/max, logical_or) is
+    # independent of row order within a key, so the sort need not be stable.
+    order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 

@@ -157,6 +157,19 @@ class TestCampaignManifest:
             assert timers[stage]["wall_s"] >= 0.0
             assert timers[stage]["calls"] >= 1
 
+    def test_analysis_layers_timed_separately(self, manifest):
+        timers = manifest.telemetry["timers"]
+        parent = timers["shard/analyze"]
+        children = [timers[f"shard/analyze/{name}"] for name in ("flow_table", "awareness")]
+        for child in children:
+            assert child["calls"] == parent["calls"] == 1
+        assert sum(child["wall_s"] for child in children) <= parent["wall_s"]
+        summary = render_manifest_summary(manifest)
+        diff = render_manifest_diff(manifest, manifest)
+        for stage in ("shard/analyze/flow_table", "shard/analyze/awareness"):
+            assert stage in summary
+            assert stage in diff
+
     def test_ok_property(self, manifest):
         assert manifest.ok
 

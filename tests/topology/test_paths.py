@@ -176,6 +176,40 @@ class TestOneToMany:
         assert (after < before).any()
 
 
+def _assert_matrix_is_transit_hops(world):
+    paths = world.paths
+    paths._materialise()
+    asns = sorted(paths._asn_index, key=paths._asn_index.__getitem__)
+    expected = [[world.asgraph.transit_hops(a, b) for b in asns] for a in asns]
+    assert paths._transit.tolist() == expected
+
+
+class TestTransitMatrix:
+    """The all-pairs pass equals per-pair ``ASGraph.transit_hops``."""
+
+    def test_fresh_world(self):
+        world = World()
+        build_napa_wine_testbed(world)
+        _assert_matrix_is_transit_hops(world)
+        assert len(world.paths._asn_index) > 1
+
+    def test_after_late_attached_as(self):
+        world = World()
+        build_napa_wine_testbed(world)
+        _assert_matrix_is_transit_hops(world)
+        late = 999
+        world.add_home_as(late, "IT")
+        world.asgraph.graph.add_edge(late, world.access_isps("CN")[0])
+        world.asgraph.invalidate_routes()
+        _assert_matrix_is_transit_hops(world)
+        assert late in world.paths._asn_index
+
+    def test_unknown_as_raises(self, setup):
+        world, _, _ = setup
+        with pytest.raises(TopologyError):
+            world.asgraph.transit_matrix([999_999])
+
+
 class TestConfigAndErrors:
     def test_unknown_as_raises(self, setup):
         world, _, _ = setup
