@@ -131,10 +131,7 @@ def build_views(
     views' arrays.
     """
     flows = table.flows
-    if contributors_only:
-        key = (criteria or ContributorCriteria(), True)
-    else:
-        key = (None, False)  # every flow is kept; criteria are unused
+    key = _memo_key(criteria, contributors_only)
     ref, contributors = table.views_memo.get(key, (None, 0))
     views = ref() if ref is not None else None
     if views is None:
@@ -144,6 +141,31 @@ def build_views(
         telemetry.count("heuristics/flows_classified", len(flows))
         telemetry.count("heuristics/contributors", contributors)
     return views
+
+
+def adopt_views(table: FlowTable, views: ViewPair) -> None:
+    """Share ``views``, the contributor pair an analyzer with default
+    criteria built for ``table``, through ``table.views_memo``.
+
+    A table that crossed a process boundary arrives with an empty memo
+    while the report that travelled with it still holds its views;
+    adopting them lets :func:`build_views` return that pair instead of
+    building it again.
+    """
+    key = _memo_key(None, True)
+    ref, _ = table.views_memo.get(key, (None, 0))
+    if ref is None or ref() is not views:
+        contributors = int(contributor_mask(table.flows, key[0]).sum())
+        table.views_memo[key] = (weakref.ref(views), contributors)
+
+
+def _memo_key(
+    criteria: ContributorCriteria | None, contributors_only: bool
+) -> tuple[ContributorCriteria | None, bool]:
+    """The ``views_memo`` key of a view pair."""
+    if contributors_only:
+        return (criteria or ContributorCriteria(), True)
+    return (None, False)  # every flow is kept; criteria are unused
 
 
 def _build_views(

@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # (monkeypatching campaign.simulate etc.) govern shard execution too.
 from repro.core.framework import AwarenessAnalyzer, AwarenessReport  # noqa: F401
 from repro.core.quality import QualityFlag
+from repro.core.views import adopt_views
 from repro.errors import ConfigurationError, TraceError
 from repro.exec.backends import SerialExecutor, resolve_executor
 from repro.exec.context import campaign_context
@@ -314,10 +315,11 @@ def campaign_shards(
 def merge_outcome(campaign: Campaign, outcome: ShardOutcome) -> None:
     """Fold one shard outcome into a campaign.
 
-    Pure bookkeeping — no RNG, no recomputation — so the reduction is
-    deterministic as long as outcomes are merged in shard (= reporting)
-    order, which :func:`run_campaign` guarantees regardless of the order
-    workers finished in.
+    Bookkeeping — no RNG, no re-simulation or re-analysis — so the
+    reduction is deterministic as long as outcomes are merged in shard
+    (= reporting) order, which :func:`run_campaign` guarantees regardless
+    of the order workers finished in.  A run's report views are adopted
+    into its flow table's memo, which an unpickled table arrives without.
     """
     app = outcome.key.app
     campaign.failures.extend(outcome.failures)
@@ -353,6 +355,7 @@ def merge_outcome(campaign: Campaign, outcome: ShardOutcome) -> None:
         cfg = campaign.config
         profile = campaign_profile(cfg, app)
         result = _result_from_bundle(outcome.bundle, cfg, campaign.world, campaign.testbed, profile)
+    adopt_views(outcome.flows, outcome.report.views)
     campaign.runs[app] = ExperimentRun(
         app=app,
         result=result,

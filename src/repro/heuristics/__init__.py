@@ -28,10 +28,6 @@ from repro.heuristics.contributors import (
 )
 from repro.heuristics.hops import hops_from_ttl, infer_initial_ttl
 from repro.heuristics.registry import IpRegistry
-from repro.heuristics.rtt import (
-    estimate_rtt_from_packets,
-    estimate_rtt_from_transfers,
-)
 
 __all__ = [
     "HIGH_BW_IPG_THRESHOLD_S",
@@ -43,6 +39,4 @@ __all__ = [
     "hops_from_ttl",
     "infer_initial_ttl",
     "IpRegistry",
-    "estimate_rtt_from_packets",
-    "estimate_rtt_from_transfers",
 ]

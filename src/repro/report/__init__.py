@@ -21,11 +21,6 @@ from repro.report.paper import (
     PAPER_TABLE4,
 )
 from repro.report.compare import ShapeCheck, check_campaign_shape, render_checks
-from repro.report.per_probe import (
-    ProbeBreakdown,
-    per_probe_breakdown,
-    render_probe_breakdown,
-)
 
 __all__ = [
     "render_table",
@@ -42,7 +37,4 @@ __all__ = [
     "ShapeCheck",
     "check_campaign_shape",
     "render_checks",
-    "ProbeBreakdown",
-    "per_probe_breakdown",
-    "render_probe_breakdown",
 ]

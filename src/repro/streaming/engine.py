@@ -543,8 +543,6 @@ class Engine:
         self._remote_policy = SelectionPolicy(
             self.profile.remote_weights, rng_sel, self.profile.selection_temperature
         )
-        #: (remote gidx, probe gidx) pairs currently attached as downloaders.
-        self._attached: set[tuple[int, int]] = set()
 
         # Awareness scores are a pure function of the (chooser, candidate)
         # endpoint pair — every input is fixed at build time — and
@@ -975,7 +973,6 @@ class Engine:
         rng = self._rng_engine
         online = self._online_mask(t)
         remotes = np.flatnonzero(online[: self.n_remote])
-        self._attached.clear()
         if len(remotes):
             for probe in self._probes:
                 target = self._demand_target(probe.gidx)
@@ -991,7 +988,6 @@ class Engine:
                 window_end = min(t + self.config.demand_rebalance_s, self.config.duration_s)
                 for i in picked:
                     r = int(remotes[i])
-                    self._attached.add((r, probe.gidx))
                     probe.add_known(r)
                     self._record(t, r, probe.gidx, self.profile.handshake_bytes, PacketKind.SIGNALING)
                     self._schedule_pulls(r, probe, t, window_end)
@@ -1069,7 +1065,7 @@ class Engine:
         """
         t = times[i]
         pg = probe.gidx
-        if (remote, pg) in self._attached and t < self._leave_list[remote]:
+        if t < self._leave_list[remote]:
             ul = self._up_list
             dl = self._down_list
             ipl = self._ip_list

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 import repro.core.views as views_mod
-from repro.core.views import build_views
+from repro.core.views import adopt_views, build_views
 from repro.exec.shards import ShardKey, ShardSpec
 from repro.exec.worker import run_shard
-from repro.experiments.campaign import CampaignConfig
+from repro.experiments.campaign import CampaignConfig, run_campaign
 from repro.experiments.figure2 import _probe_matrix, build_figure2
 from repro.experiments.table2 import _per_probe_stats, build_table2
 from repro.experiments.table3 import _pooled_bias, build_table3
@@ -87,8 +87,19 @@ class TestAgainstOracle:
                 assert _bits(getattr(got, field)) == _bits(getattr(want, field))
 
 
+@pytest.fixture(scope="module")
+def campaign_process():
+    """A two-app campaign whose runs were analysed in worker processes."""
+    cfg = CampaignConfig(apps=("sopcast", "tvants"), duration_s=20.0, scale=0.3, seed=3)
+    return run_campaign(cfg, backend="process", workers=2)
+
+
 class TestSharedViews:
-    def test_rendering_builds_each_runs_views_at_most_once(self, campaign_small, monkeypatch):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_rendering_builds_each_runs_views_at_most_once(self, request, monkeypatch, backend):
+        campaign = request.getfixturevalue(
+            "campaign_small" if backend == "serial" else "campaign_process"
+        )
         builds = []
         build = views_mod._build_views
 
@@ -98,12 +109,14 @@ class TestSharedViews:
 
         monkeypatch.setattr(views_mod, "_build_views", counting)
         for render in (build_table2, build_table3, build_table4, build_figure2):
-            render(campaign_small)
+            render(campaign)
         assert len(builds) == len(set(builds))
         # The contributor views are the ones the analyzer scored: its
-        # report holds them, so rendering reuses them.
+        # report holds them, so rendering reuses them, also when the
+        # report and its flow table were pickled back from a worker.
         assert all(criteria is None for _, criteria in builds)
-        for run in campaign_small.runs.values():
+        assert len(builds) == len(campaign.runs)
+        for run in campaign.runs.values():
             assert build_views(run.flows) is run.report.views
 
     def test_memo_keeps_nothing_alive(self, flows_small):
@@ -120,6 +133,15 @@ class TestSharedViews:
         first, second = Telemetry(), Telemetry()
         held = build_views(table, telemetry=first)
         assert build_views(table, telemetry=second) is held
+        for name in ("heuristics/flows_classified", "heuristics/contributors"):
+            assert second.counter(name) == first.counter(name) > 0
+
+    def test_adopted_views_tally_like_built_ones(self, flows_small):
+        first, second = Telemetry(), Telemetry()
+        views = build_views(FlowTable(flows_small.flows, flows_small.hosts), telemetry=first)
+        table = FlowTable(flows_small.flows, flows_small.hosts)
+        adopt_views(table, views)
+        assert build_views(table, telemetry=second) is views
         for name in ("heuristics/flows_classified", "heuristics/contributors"):
             assert second.counter(name) == first.counter(name) > 0
 

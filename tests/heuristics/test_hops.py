@@ -76,6 +76,11 @@ class TestGroundTruthRecovery:
             hosts.gather(flows["dst"], "access_depth"),
         )
         assert np.array_equal(inferred, true_hops)
+        # Both directions are among the inputs: probe → remote and
+        # remote → probe paths differ (routing asymmetry).
+        src_probe = np.isin(flows["src"], flows_small.probe_ips)
+        dst_probe = np.isin(flows["dst"], flows_small.probe_ips)
+        assert (src_probe & ~dst_probe).any() and (dst_probe & ~src_probe).any()
 
     def test_zero_hops_iff_same_subnet(self, flows_small, sim_small):
         flows = flows_small.flows

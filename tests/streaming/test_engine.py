@@ -162,6 +162,58 @@ class TestPartnerContextSlot:
         assert not any(narrow) if wide else all(narrow)
 
 
+class TestRemotePullWindows:
+    """A demand rebalance at ``t0`` draws each attached remote's pull times
+    in ``[t0, t1)``, and the next rebalance, which re-samples the
+    downloaders, fires at ``t1``: every pull is dispatched inside the
+    window of the rebalance that drew it, before any later one."""
+
+    @pytest.mark.parametrize("app", ["tvants", "napa-scale"])
+    def test_every_pull_lies_in_its_drawing_window(self, monkeypatch, app):
+        rebalances: list[float] = []
+        chains: dict[int, tuple] = {}  # id(times) -> (times, rebalances seen, t0, t1)
+        pulls: list[tuple[bool, bool]] = []
+        rebalance = Engine._on_demand_rebalance
+        draw, pull = Engine._schedule_pulls, Engine._on_remote_pull
+
+        def counting_rebalance(self):
+            rebalances.append(self._queue.now)
+            rebalance(self)
+
+        def recording_draw(self, remote, probe, t0, t1):
+            queue = self._queue
+
+            def schedule(t, callback, *args):
+                times = args[4]
+                chains[id(times)] = (times, len(rebalances), t0, t1)
+                type(queue).schedule(queue, t, callback, *args)
+
+            queue.schedule = schedule
+            try:
+                draw(self, remote, probe, t0, t1)
+            finally:
+                del queue.schedule
+
+        def checking_pull(self, remote, probe, delay, ready, times, wants, i):
+            _, drawn_after, t0, t1 = chains[id(times)]
+            t = times[i]
+            assert self._queue.now == t
+            pulls.append((len(rebalances) == drawn_after, t0 <= t < t1))
+            pull(self, remote, probe, delay, ready, times, wants, i)
+
+        monkeypatch.setattr(Engine, "_on_demand_rebalance", counting_rebalance)
+        monkeypatch.setattr(Engine, "_schedule_pulls", recording_draw)
+        monkeypatch.setattr(Engine, "_on_remote_pull", checking_pull)
+        profile = get_profile(app)
+        if app != "napa-scale":
+            profile = profile.scaled(0.5)
+        simulate(profile, engine_config=EngineConfig(duration_s=70.0, seed=43))
+
+        assert len(rebalances) == 4 and len(chains) > 100
+        assert len(pulls) > 1000
+        assert all(same and inside for same, inside in pulls)
+
+
 class TestHostTable:
     def test_probe_count(self, result):
         assert len(result.probe_ips) == 46

@@ -45,7 +45,6 @@ class TestPublicApi:
         assert report["CC"].download.B_prime == run.report["CC"].download.B_prime
 
     def test_subpackage_exports(self):
-        import repro.active
         import repro.core
         import repro.experiments
         import repro.friendliness
@@ -53,14 +52,13 @@ class TestPublicApi:
         import repro.population
         import repro.report
         import repro.streaming
-        import repro.swarm
         import repro.topology
         import repro.trace
 
         for module in (
             repro.core, repro.experiments, repro.friendliness,
-            repro.heuristics, repro.population, repro.streaming,
-            repro.swarm, repro.topology, repro.trace, repro.active,
+            repro.heuristics, repro.population, repro.report,
+            repro.streaming, repro.topology, repro.trace,
         ):
             for name in module.__all__:
                 assert getattr(module, name, None) is not None, (module, name)
