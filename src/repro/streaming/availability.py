@@ -104,11 +104,9 @@ class RemoteAvailability:
     def scalar_view(self, peer_idx: int) -> tuple[float, float]:
         """``(diffusion delay, ready_from)`` of one peer as plain floats.
 
-        Callers that probe one remote across several chunks (the engine's
-        per-remote pull window) hoist the two lookups and inline the
-        :meth:`has_chunk` arithmetic — same doubles, same compares.  The
-        engine reads it once per window, so boxing two numpy scalars here
-        costs less than holding the arrays a second time as float lists.
+        Callers that probe one remote across several chunks hoist the
+        two lookups and inline the :meth:`has_chunk` arithmetic — same
+        doubles, same compares.
         """
         return float(self.delays[peer_idx]), float(self.ready_from[peer_idx])
 

@@ -51,7 +51,7 @@ from repro.topology.paths import ACCESS_DEPTH
 from repro.topology.testbed import Testbed, build_napa_wine_testbed
 from repro.topology.world import World
 from repro.trace.hosts import HostTable
-from repro.trace.records import PacketKind
+from repro.trace.records import TRANSFER_DTYPE, PacketKind
 from repro.units import BITS_PER_BYTE
 
 _log = get_logger("streaming.engine")
@@ -369,7 +369,11 @@ class Engine:
         self._cb_tick = self._on_tick
         self._cb_tick_cohort = self._on_tick_cohort
         self._cb_arrival = self._on_chunk_arrival
-        self._cb_pull = self._on_remote_pull
+        #: The attached window of remote pulls (see :meth:`_attach_pulls`).
+        self._pull_times: list[float] | None = None
+        self._pull_chain: list[int] | None = None
+        self._pull_wants: list[int] | None = None
+        self._pull_chains: list[tuple] | None = None
         self._recorder = TransferRecorder()
         self._rec_append = self._recorder.append_row
         self._signaling = SignalingBook()
@@ -485,7 +489,6 @@ class Engine:
         self._ip_list: list[int] = self._ip.tolist()
         self._up_list: list[float] = self._up.tolist()
         self._down_list: list[float] = self._down.tolist()
-        self._leave_list: list[float] = self._leave.tolist()
         # Online-mask maintenance: the mask is constant between
         # consecutive join/leave boundaries and event time is
         # non-decreasing, so instead of re-evaluating the n-peer compare
@@ -964,7 +967,9 @@ class Engine:
         Runs every ``demand_rebalance_s``: each probe attracts a
         Poisson-distributed number of remote downloaders, sampled with the
         profile's remote-side awareness weights (this is the ground-truth
-        mechanism behind the paper's *upload*-direction metrics).
+        mechanism behind the paper's *upload*-direction metrics).  Each
+        downloader's pulls over the window are drawn here and the window
+        is handed to the queue as one stream (:meth:`_attach_pulls`).
         Packs the transfer log first, so at most one rebalance window of
         it is ever held as tuple rows.
         """
@@ -973,7 +978,9 @@ class Engine:
         rng = self._rng_engine
         online = self._online_mask(t)
         remotes = np.flatnonzero(online[: self.n_remote])
+        drawn: list[tuple[int, _PeerState, np.ndarray]] = []
         if len(remotes):
+            window_end = min(t + self.config.demand_rebalance_s, self.config.duration_s)
             for probe in self._probes:
                 target = self._demand_target(probe.gidx)
                 if self._firewalled[probe.gidx]:
@@ -985,148 +992,190 @@ class Engine:
                     continue
                 row = self._remote_rows.row(probe.pi)
                 picked = self._remote_policy.choose_levels(row[remotes], k)
-                window_end = min(t + self.config.demand_rebalance_s, self.config.duration_s)
                 for i in picked:
                     r = int(remotes[i])
                     probe.add_known(r)
                     self._record(t, r, probe.gidx, self.profile.handshake_bytes, PacketKind.SIGNALING)
-                    self._schedule_pulls(r, probe, t, window_end)
+                    times = self._draw_pulls(t, window_end)
+                    if times is not None:
+                        drawn.append((r, probe, times))
+        self._attach_pulls(drawn)
         self._queue.schedule(
             t + self.config.demand_rebalance_s, self._on_demand_rebalance
         )
 
-    def _schedule_pulls(self, remote: int, probe: _PeerState, t0: float, t1: float) -> None:
-        """Draw the remote's pull times for one rebalance window, batched.
+    def _draw_pulls(self, t0: float, t1: float) -> np.ndarray | None:
+        """One attached remote's pull times in ``[t0, t1)``, sorted.
 
-        The RNG draws (Poisson count, sorted uniform times) are identical
-        to the per-pull scheme this replaced.  Instead of pushing one
-        queue event per pull, the whole window becomes *one* chained
-        array-walking event per (remote, probe) pair: each dispatch
-        serves pull ``i`` and schedules pull ``i + 1``, so the pending
-        event count per window drops from ~rate × window to one per
-        attached pair while the dispatch times — and hence all transport
-        interleavings — stay exactly the per-pull floats.
-
-        The remote's *want* (its newest missing chunk, eq. to
-        :meth:`RemoteAvailability.newest_missing`) is a pure function of
-        the pull time, so the whole window's wants are precomputed here
-        as one vectorised arrival-time pass — same truncating divisions,
-        same IEEE doubles as the scalar per-event computation.
+        A Poisson count at the profile's pull rate, then that many
+        uniform draws; ``None`` when the count is zero.
         """
-        rng = self._rng_engine
         rate = self.profile.remote_pull_rate
         if rate <= 0:
-            return
+            return None
+        rng = self._rng_engine
         n = rng.poisson(rate * (t1 - t0))
         if n == 0:
+            return None
+        return np.sort(rng.uniform(t0, t1, size=n))
+
+    def _attach_pulls(self, drawn: list[tuple[int, _PeerState, np.ndarray]]) -> None:
+        """Hand the window's pulls to the queue as one time-sorted stream.
+
+        ``drawn`` holds one ``(remote, probe, times)`` chain per attached
+        pair.  The chains merge into three per-pull lists — time, chain
+        index, want — sorted by time (stable, so equal times keep chain
+        order), while ``(remote, probe, delay, ready)`` is kept once per
+        chain.  The queue serves the stream in time order between its
+        queued events (:meth:`_serve_pulls`), and each pull counts as one
+        dispatched ``remote_pull`` event.
+
+        What a pull does not read from the probe's buffer is settled
+        here, vectorised over the window:
+
+        * the remote's *want* — its newest missing chunk, as
+          :meth:`RemoteAvailability.newest_missing` computes it, with the
+          same truncating divisions and IEEE doubles — is a pure
+          function of the pull time;
+        * a pull at or after the remote's leave time serves nothing: its
+          want is set to -1, which :meth:`_serve_pulls` skips;
+        * the pull's request record ``(t, ip[remote], ip[probe],
+          REQUEST_BYTES, CONTROL, min(up, down))``, logged for every pull
+          before the remote's leave time, goes to the recorder as one
+          packed block.
+
+        A pull still unserved when the next rebalance fires (one drawn
+        exactly at the window's end, which ``uniform`` can round to) is
+        carried into the new stream ahead of its equal-time pulls.
+        """
+        queue = self._queue
+        carried = queue.stream_pending
+        if not drawn and not carried:
             return
-        times = np.sort(rng.uniform(t0, t1, size=n))
-        delay, ready = self.availability.scalar_view(remote)
-        ci = self.availability.chunk_interval
+        counts = [len(times) for _, _, times in drawn]
+        times = np.concatenate([times for _, _, times in drawn] or [np.empty(0)])
+        chain = np.repeat(np.arange(len(drawn)), counts)
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        chain = chain[order]
+        remote_c = np.array([r for r, _, _ in drawn], dtype=np.int64)
+        probe_c = np.array([p.gidx for _, p, _ in drawn], dtype=np.int64)
+        delay_c, ready_c = self.availability.subset(remote_c)
+        remote = remote_c[chain]
+        probe = probe_c[chain]
+        ci = self._av_chunk_interval
         live = (times / ci).astype(np.int64)
-        have_up_to = (np.maximum(0.0, times - delay) / ci).astype(np.int64)
-        newest_missing = have_up_to + 1
+        newest_missing = (np.maximum(0.0, times - delay_c[chain]) / ci).astype(np.int64) + 1
         wants = np.where(
-            times < ready,
+            times < ready_c[chain],
             live,
             np.where(newest_missing <= live, newest_missing, -1),
         )
-        self._queue.schedule(
-            float(times[0]),
-            self._cb_pull,
-            remote,
-            probe,
-            delay,
-            ready,
-            times.tolist(),
-            wants.tolist(),
-            0,
-        )
+        alive = times < self._leave[remote]
+        wants[~alive] = -1
+        rs, ps = remote[alive], probe[alive]
+        block = np.empty(len(rs), dtype=TRANSFER_DTYPE)
+        block["ts"] = times[alive]
+        block["src"] = self._ip[rs]
+        block["dst"] = self._ip[ps]
+        block["bytes"] = REQUEST_BYTES
+        block["kind"] = _KIND_CONTROL
+        block["bottleneck"] = np.minimum(self._up[rs], self._down[ps])
+        self._recorder.append_block(block)
 
-    def _on_remote_pull(
-        self,
-        remote: int,
-        probe: _PeerState,
-        delay: float,
-        ready: float,
-        times: list[float],
-        wants: list[int],
-        i: int,
-    ) -> None:
-        """Serve pull ``i`` of the window, then chain-schedule pull ``i+1``.
+        chains = [
+            (r, p.gidx, p.pi, p.lat_row, delay, ready)
+            for (r, p, _), delay, ready in zip(drawn, delay_c.tolist(), ready_c.tolist())
+        ]
+        times_l, chain_l, wants_l = times.tolist(), chain.tolist(), wants.tolist()
+        if carried:
+            chains = [self._pull_chains[c] for c in self._pull_chain[-carried:]] + chains
+            times_l = self._pull_times[-carried:] + times_l
+            chain_l = list(range(carried)) + [c + carried for c in chain_l]
+            wants_l = self._pull_wants[-carried:] + wants_l
+            order = sorted(range(len(times_l)), key=times_l.__getitem__)
+            times_l = [times_l[i] for i in order]
+            chain_l = [chain_l[i] for i in order]
+            wants_l = [wants_l[i] for i in order]
+        self._pull_times = times_l
+        self._pull_chain = chain_l
+        self._pull_wants = wants_l
+        self._pull_chains = chains
+        queue.attach_stream(times_l, self._serve_pulls, "_on_remote_pull")
 
-        ``delay``/``ready`` are the remote's (static) availability scalars,
-        resolved once per window in :meth:`_schedule_pulls` and carried in
-        the chain arguments.  The newest-serveable scan — the newest of
-        the ≤ 6 chunks below ``want`` that the probe holds and the remote
-        still lacks — reads the probe's row straight from the shared byte
-        buffer and inlines the oracle's exact arithmetic
-        (``max(gen + delay, ready) > t`` or aged past retention).
+    def _serve_pulls(self, lo: int, hi: int) -> None:
+        """Serve pulls ``[lo, hi)`` of the attached window, in time order.
+
+        The queue calls this with every pull that falls before its next
+        queued event, so the hot-path locals are hoisted once per call.
+        A pull reads the probe's buffer and writes only the probe's
+        uplink horizon and the transfer log — it schedules nothing.  Its
+        request record is already in the log (:meth:`_attach_pulls`).
+        Here it serves the newest of the ≤ 6 chunks below the remote's
+        want that the probe holds and the remote still lacks, reading the
+        probe's row straight from the shared byte buffer and inlining the
+        oracle's arithmetic (``max(gen + delay, ready) > t`` or aged past
+        retention).  The window's lists are dropped as soon as its last
+        pull is served.
         """
-        t = times[i]
-        pg = probe.gidx
-        if t < self._leave_list[remote]:
-            ul = self._up_list
-            dl = self._down_list
-            ipl = self._ip_list
-            up = ul[remote]
-            dn = dl[pg]
-            self._rec_append(
-                (t, ipl[remote], ipl[pg], REQUEST_BYTES, _KIND_CONTROL, up if up < dn else dn)
-            )
+        times = self._pull_times
+        wants = self._pull_wants
+        chain = self._pull_chain
+        chains = self._pull_chains
+        soa = self._soa
+        hb = soa.have_buf
+        base = soa.base
+        row_top = soa.row_top
+        row_off = soa.row_off
+        low = soa.low
+        ci = self._av_chunk_interval
+        ret = self._av_retention
+        nbytes = self._chunk_bytes
+        nbits = nbytes * BITS_PER_BYTE
+        free = self._ul_free
+        bps = self._ul_bps
+        max_backlog = self._ul_max_backlog
+        ul = self._up_list
+        dl = self._down_list
+        ipl = self._ip_list
+        append = self._rec_append
+        for i in range(lo, hi):
             want = wants[i]
-            if want >= 0:
-                soa = self._soa
-                pi = probe.pi
-                hb = soa.have_buf
-                b = soa.base[pi]
-                top = soa.row_top[pi]
-                off = soa.row_off[pi]
-                ci = self._av_chunk_interval
-                ret = self._av_retention
-                lo = want - 6
-                if lo < 0:
-                    lo = 0
-                chunk = want
-                while chunk >= lo:
-                    if hb[off + chunk] if b <= chunk < top else chunk in soa.low[pi]:
-                        gen = chunk * ci
-                        arrival = gen + delay
-                        if ready > arrival:
-                            arrival = ready
-                        if t < arrival or t >= gen + ret:
-                            # The remote lacks it → serve this chunk.
-                            nbytes = self._chunk_bytes
-                            lat = probe.lat_row[remote]
-                            # Inlined UplinkScheduler.admit.
-                            t_req = t + lat
-                            free = self._ul_free
-                            start = free[pg]
-                            if start < t_req:
-                                start = t_req
-                            if start - t_req <= self._ul_max_backlog:
-                                free[pg] = (
-                                    start + nbytes * BITS_PER_BYTE / self._ul_bps[pg]
-                                )
-                                up = ul[pg]
-                                dn = dl[remote]
-                                self._rec_append(
-                                    (
-                                        start,
-                                        ipl[pg],
-                                        ipl[remote],
-                                        nbytes,
-                                        _KIND_VIDEO,
-                                        up if up < dn else dn,
-                                    )
-                                )
-                            break
-                    chunk -= 1
-        i += 1
-        if i < len(times):
-            self._queue.schedule(
-                times[i], self._cb_pull, remote, probe, delay, ready, times, wants, i
-            )
+            if want < 0:
+                continue
+            t = times[i]
+            remote, pg, pi, lat_row, delay, ready = chains[chain[i]]
+            b = base[pi]
+            top = row_top[pi]
+            off = row_off[pi]
+            floor = want - 6
+            if floor < 0:
+                floor = 0
+            chunk = want
+            while chunk >= floor:
+                if hb[off + chunk] if b <= chunk < top else chunk in low[pi]:
+                    gen = chunk * ci
+                    arrival = gen + delay
+                    if ready > arrival:
+                        arrival = ready
+                    if t < arrival or t >= gen + ret:
+                        # The remote lacks it → serve this chunk.
+                        # Inlined UplinkScheduler.admit.
+                        t_req = t + lat_row[remote]
+                        start = free[pg]
+                        if start < t_req:
+                            start = t_req
+                        if start - t_req <= max_backlog:
+                            free[pg] = start + nbits / bps[pg]
+                            up = ul[pg]
+                            dn = dl[remote]
+                            append(
+                                (start, ipl[pg], ipl[remote], nbytes, _KIND_VIDEO, up if up < dn else dn)
+                            )
+                        break
+                chunk -= 1
+        if hi == len(times):
+            self._pull_times = self._pull_chain = self._pull_wants = self._pull_chains = None
 
     # --------------------------------------------------------- array kernels
     def _partner_ctx(self, pi: int, partners: np.ndarray) -> dict:
@@ -1260,8 +1309,9 @@ class Engine:
     def _release(self) -> None:
         """Break the reference cycles that pin a finished engine.
 
-        The events still queued at the horizon and the pre-bound
-        callbacks hold bound methods of the engine; the scheduler and the
+        The events still queued at the horizon, the attached pull stream
+        and the pre-bound callbacks hold bound methods of the engine;
+        clearing the queue drops the first two.  The scheduler and the
         score-row cache hold it through their back-reference and builder.
         Without them the engine is freed by reference counting as soon
         as the caller drops it, instead of waiting for the cyclic GC.
@@ -1269,7 +1319,7 @@ class Engine:
         engine.
         """
         self._queue.clear()
-        del self._cb_tick, self._cb_tick_cohort, self._cb_arrival, self._cb_pull
+        del self._cb_tick, self._cb_tick_cohort, self._cb_arrival
         self._scheduler.unbind()
         self._remote_rows.release()
 

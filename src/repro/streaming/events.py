@@ -27,6 +27,26 @@ binary heap this replaced:
 Together these give the same total order ``(t, seq)`` the heap produced,
 with O(1) amortised scheduling instead of O(log n) sift operations.
 
+An *attached stream* (:meth:`EventQueue.attach_stream`) is a time-sorted
+run of items handed over in one piece — the engine's remote pulls of one
+demand-rebalance window.  ``run_until`` merges it with the buckets: before
+it dispatches a queued entry at time ``t`` it serves, in one call, every
+stream item with time ``< t``; at the horizon it serves the items
+``<= t_end``.  The merged order is the heap's order with stream items
+keyed ``(t, 1, i)`` and queued events ``(t, 0, seq)``:
+
+* stream items are sorted, so they leave in ascending ``(t, i)`` order;
+* an item is served exactly when every queued event with a smaller time
+  has been dispatched and none with a larger one has, so only exact time
+  ties are ordered by the key's middle field — the queued event first;
+* a stream's serve callback schedules nothing, so the buckets cannot
+  change while items are served.
+
+The engine's pulls rely on that last point: a pull reads the probe's
+buffer and writes only its uplink horizon and the transfer log, so
+serving it from a stream rather than a queued entry preserves every
+interleaving the ``(t, seq)`` order gave, ties aside.
+
 The original heapq implementation lives on in the test suite
 (``tests/streaming/heap_queue.py``) as the differential-testing oracle
 and the microbenchmark baseline (``benchmarks/bench_events.py``).
@@ -34,7 +54,7 @@ and the microbenchmark baseline (``benchmarks/bench_events.py``).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
 from typing import Any, Callable
 
@@ -46,6 +66,8 @@ from repro.errors import SimulationError
 #: wide enough to amortise bucket bookkeeping across a sorted run of a
 #: few dozen entries, narrow enough that sorting stays insertion-cheap.
 DEFAULT_BUCKET_WIDTH_S = 0.05
+
+_INF = float("inf")
 
 
 class EventQueue:
@@ -80,6 +102,15 @@ class EventQueue:
         self._n = 0
         self._peak = 0
         self._dispatched_by_kind: dict[str, int] = {}
+        #: The attached stream: sorted item times, the serve callback,
+        #: the kind its items count under, and the first unserved index.
+        #: ``stream_next`` is the time of that item (``inf`` when no
+        #: stream is attached) — the one field the drain reads per event.
+        self._stream_times: list[float] = []
+        self._stream_serve: Callable[[int, int], None] | None = None
+        self._stream_kind = ""
+        self._stream_pos = 0
+        self.stream_next = _INF
 
     @property
     def now(self) -> float:
@@ -100,9 +131,13 @@ class EventQueue:
         walk over pending events is O(queue depth) only when asked.
         (Mid-drain, entries of the active bucket at exactly the current
         time may be attributed to dispatched one event early; outside a
-        ``run_until`` call the split is exact.)
+        ``run_until`` call the split is exact.)  Unserved items of the
+        attached stream count as pending events of its kind.
         """
         out = dict(self._dispatched_by_kind)
+        if self._stream_serve is not None:
+            kind = self._stream_kind
+            out[kind] = out.get(kind, 0) + self.stream_pending
         pending = [e for bucket in self._buckets.values() for e in bucket]
         if self._active is not None:
             now = self._now
@@ -119,6 +154,65 @@ class EventQueue:
     def dispatched_by_kind(self) -> dict[str, int]:
         """Events dispatched so far, keyed by callback name."""
         return dict(self._dispatched_by_kind)
+
+    @property
+    def stream_pending(self) -> int:
+        """Items of the attached stream not yet served."""
+        return len(self._stream_times) - self._stream_pos
+
+    def attach_stream(
+        self, times: list[float], serve: Callable[[int, int], None], kind: str
+    ) -> None:
+        """Attach a time-sorted stream of items, replacing any attached one.
+
+        ``run_until`` calls ``serve(i, j)`` to dispatch items ``[i, j)``
+        in index order, merged with the queued events by time (queued
+        events first on equal times; see the module docstring).  Each
+        item counts as one dispatched event of ``kind``.  ``serve`` must
+        not schedule: the merge assumes the buckets stay put while it
+        runs.  Unserved items of a replaced stream are dropped — a
+        caller that needs them carries them into ``times``.  The stream
+        is detached, and its list and callback released, once its last
+        item is served.
+        """
+        if times and times[0] < self._now:
+            raise SimulationError(
+                f"stream starts in the past: {times[0]:.6f} < now {self._now:.6f}"
+            )
+        if not times:
+            self._detach_stream()
+            return
+        self._stream_times = times
+        self._stream_serve = serve
+        self._stream_kind = kind
+        self._stream_pos = 0
+        self.stream_next = times[0]
+
+    def _detach_stream(self) -> None:
+        self._stream_times = []
+        self._stream_serve = None
+        self._stream_pos = 0
+        self.stream_next = _INF
+
+    def _serve_stream(self, limit: float, inclusive: bool) -> int:
+        """Serve the stream items before ``limit`` (or at it, if inclusive)."""
+        times = self._stream_times
+        i = self._stream_pos
+        if inclusive:
+            j = bisect_right(times, limit, i)
+        else:
+            j = bisect_left(times, limit, i)
+        self._stream_serve(i, j)
+        self._now = times[j - 1]
+        counts = self._dispatched_by_kind
+        kind = self._stream_kind
+        counts[kind] = counts.get(kind, 0) + (j - i)
+        if j == len(times):
+            self._detach_stream()
+        else:
+            self._stream_pos = j
+            self.stream_next = times[j]
+        return j - i
 
     def schedule(self, t: float, callback: Callable[..., None], *args: Any) -> None:
         """Enqueue ``callback(*args)`` to fire at time ``t``.
@@ -159,6 +253,10 @@ class EventQueue:
         is why no per-event pointer write-back is needed.  A callback can
         also create a new pending bucket, but only at an index ≥ the active
         one — the outer heap check stays correct mid-drain.
+
+        The attached stream is read through ``stream_next`` before each
+        dispatch, so a stream a callback attaches takes part from the
+        next entry on.
         """
         processed = 0
         buckets = self._buckets
@@ -180,6 +278,8 @@ class EventQueue:
                 t = entry[0]
                 if t > t_end:
                     break
+                if self.stream_next < t:
+                    processed += self._serve_stream(t, False)
                 i += 1
                 self._now = t
                 callback = entry[2]
@@ -200,18 +300,23 @@ class EventQueue:
                 buckets[idx] = run[i:]
                 heappush(heap, idx)
                 break
+        if self.stream_next <= t_end:
+            processed += self._serve_stream(t_end, True)
         if t_end > self._now:
             self._now = t_end
         return processed
 
     def clear(self) -> None:
-        """Drop every pending event; ``now`` and the counters stay.
+        """Drop every pending event and detach the stream; ``now`` and the
+        counters stay.
 
-        Pending entries hold their callbacks, often bound methods of the
-        object that owns this queue, so clearing a finished run's queue
-        lets that owner be freed by reference counting.  Dropped events
-        no longer count towards :attr:`scheduled_by_kind`.
+        Pending entries and the stream hold their callbacks, often bound
+        methods of the object that owns this queue, so clearing a
+        finished run's queue lets that owner be freed by reference
+        counting.  Dropped events and stream items no longer count
+        towards :attr:`scheduled_by_kind`.
         """
+        self._detach_stream()
         self._buckets.clear()
         self._bucket_heap.clear()
         self._active = None

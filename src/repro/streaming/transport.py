@@ -8,8 +8,9 @@ The transport layer is where access capacities become *observable*:
 * the path bottleneck ``min(src.up, dst.down)`` paces the packets of each
   chunk train, which is what the receiver-side min-IPG estimator measures;
 * every exchange lands in a :class:`TransferRecorder`: tuple rows on the
-  hot path, packed into ``TRANSFER_DTYPE`` blocks at each flush and
-  finalised into one time-sorted structured numpy array.
+  hot path, packed into ``TRANSFER_DTYPE`` blocks at each flush (or
+  handed over already packed) and finalised into one time-sorted
+  structured numpy array.
 """
 
 from __future__ import annotations
@@ -54,8 +55,11 @@ class TransferRecorder:
     block (29 B a row instead of a ≈200 B tuple) and empties the list in
     place, so ``append_row`` stays valid.  The engine flushes at every
     demand rebalance, which bounds the tuple backlog by one rebalance
-    window instead of the whole run.  :meth:`finalize` concatenates the
-    blocks and sorts by time; where the flushes fell never changes it.
+    window instead of the whole run.  Rows computed vectorised (the
+    engine's remote-pull requests of a window) skip the tuples:
+    :meth:`append_block` takes them already packed.  :meth:`finalize`
+    concatenates the blocks and sorts by time; where the flushes fell
+    and when the blocks arrived change it only among rows of equal time.
     """
 
     def __init__(self) -> None:
@@ -75,6 +79,11 @@ class TransferRecorder:
     ) -> None:
         """Append one exchange."""
         self._rows.append((ts, src_ip, dst_ip, nbytes, int(kind), bottleneck))
+
+    def append_block(self, block: np.ndarray) -> None:
+        """Append rows already packed as a ``TRANSFER_DTYPE`` array."""
+        if len(block):
+            self._blocks.append(block)
 
     def __len__(self) -> int:
         return sum(map(len, self._blocks)) + len(self._rows)
@@ -102,8 +111,10 @@ class TransferRecorder:
         """Materialise the log as a time-sorted structured array.
 
         Blocks are concatenated in append order, so the stable sort on
-        ``ts`` sees the rows in the order they were logged — the same
-        array a single flush at the end would give.
+        ``ts`` sees the tuple rows in the order they were logged — the
+        same array a single flush at the end would give.  A packed block
+        sorts in by time alone; only a row of equal ``ts`` elsewhere in
+        the log could tell where it arrived.
         """
         self.flush()
         if self._blocks:

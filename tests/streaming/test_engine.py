@@ -162,56 +162,199 @@ class TestPartnerContextSlot:
         assert not any(narrow) if wide else all(narrow)
 
 
+#: Every handler the engine dispatches from its queue (pulls come from the
+#: attached stream instead).
+_QUEUED_HANDLERS = (
+    "_on_chunk_arrival",
+    "_on_demand_rebalance",
+    "_on_discovery",
+    "_on_partner_refresh",
+    "_on_tick",
+    "_on_tick_cohort",
+)
+
+
+class _PullLog:
+    """What one hooked run dispatched and served, in order."""
+
+    def __init__(self) -> None:
+        #: (time, is_pull) per queued dispatch and per served pull.
+        self.timeline: list[tuple[float, bool]] = []
+        self.rebalances: list[float] = []
+        #: Drawn pull time -> (rebalances before the draw, t0, t1).
+        self.drawn: dict[float, tuple[int, float, float]] = {}
+        #: (time, rebalances dispatched when it was served) per pull.
+        self.served: list[tuple[float, int]] = []
+        #: The packed request blocks the recorder received.
+        self.blocks: list[np.ndarray] = []
+
+
+def _hook_pulls(monkeypatch, draw=None) -> _PullLog:
+    """Record every queued dispatch, pull draw, pull serve and request block.
+
+    ``draw``, if given, replaces :meth:`Engine._draw_pulls` (same
+    signature) so a test can stub the drawn times.
+    """
+    import functools
+
+    from repro.streaming.transport import TransferRecorder
+
+    log = _PullLog()
+    for name in _QUEUED_HANDLERS:
+        handler = getattr(Engine, name)
+
+        @functools.wraps(handler)
+        def hooked(self, *args, _handler=handler, _name=name):
+            now = self._queue.now
+            log.timeline.append((now, False))
+            if _name == "_on_demand_rebalance":
+                log.rebalances.append(now)
+            _handler(self, *args)
+
+        monkeypatch.setattr(Engine, name, hooked)
+
+    drawer = draw or Engine._draw_pulls
+
+    def recording_draw(self, t0, t1):
+        times = drawer(self, t0, t1)
+        if times is not None:
+            for t in times.tolist():
+                assert t not in log.drawn, "two pulls drawn at one time"
+                log.drawn[t] = (len(log.rebalances), t0, t1)
+        return times
+
+    serve = Engine._serve_pulls
+
+    def recording_serve(self, lo, hi):
+        for t in self._pull_times[lo:hi]:
+            log.timeline.append((t, True))
+            log.served.append((t, len(log.rebalances)))
+        serve(self, lo, hi)
+
+    append_block = TransferRecorder.append_block
+
+    def recording_append_block(self, block):
+        log.blocks.append(block.copy())
+        append_block(self, block)
+
+    monkeypatch.setattr(Engine, "_draw_pulls", recording_draw)
+    monkeypatch.setattr(Engine, "_serve_pulls", recording_serve)
+    monkeypatch.setattr(TransferRecorder, "append_block", recording_append_block)
+    return log
+
+
+def _check_pull_accounting(log: _PullLog, result) -> None:
+    """Every drawn pull served once, in time order with the queued events,
+    and counted once as a dispatched and a scheduled ``remote_pull``."""
+    stats = result.extras["engine_stats"]
+    served = [t for t, _ in log.served]
+    assert len(served) == len(set(served)) == len(log.drawn)
+    assert set(served) == set(log.drawn)
+    n_pulls = stats["dispatch_by_kind"]["remote_pull"]
+    assert n_pulls == stats["schedule_by_kind"]["remote_pull"] == len(served)
+    assert stats["events"] == len(log.timeline)
+    times = [t for t, _ in log.timeline]
+    assert all(a <= b for a, b in zip(times, times[1:])), "served out of time order"
+
+
 class TestRemotePullWindows:
     """A demand rebalance at ``t0`` draws each attached remote's pull times
     in ``[t0, t1)``, and the next rebalance, which re-samples the
-    downloaders, fires at ``t1``: every pull is dispatched inside the
-    window of the rebalance that drew it, before any later one."""
+    downloaders, fires at ``t1``.  The window's pulls reach the queue as
+    one stream: every pull is served at its drawn time, inside the window
+    of the rebalance that drew it and before any later one."""
 
     @pytest.mark.parametrize("app", ["tvants", "napa-scale"])
     def test_every_pull_lies_in_its_drawing_window(self, monkeypatch, app):
-        rebalances: list[float] = []
-        chains: dict[int, tuple] = {}  # id(times) -> (times, rebalances seen, t0, t1)
-        pulls: list[tuple[bool, bool]] = []
-        rebalance = Engine._on_demand_rebalance
-        draw, pull = Engine._schedule_pulls, Engine._on_remote_pull
-
-        def counting_rebalance(self):
-            rebalances.append(self._queue.now)
-            rebalance(self)
-
-        def recording_draw(self, remote, probe, t0, t1):
-            queue = self._queue
-
-            def schedule(t, callback, *args):
-                times = args[4]
-                chains[id(times)] = (times, len(rebalances), t0, t1)
-                type(queue).schedule(queue, t, callback, *args)
-
-            queue.schedule = schedule
-            try:
-                draw(self, remote, probe, t0, t1)
-            finally:
-                del queue.schedule
-
-        def checking_pull(self, remote, probe, delay, ready, times, wants, i):
-            _, drawn_after, t0, t1 = chains[id(times)]
-            t = times[i]
-            assert self._queue.now == t
-            pulls.append((len(rebalances) == drawn_after, t0 <= t < t1))
-            pull(self, remote, probe, delay, ready, times, wants, i)
-
-        monkeypatch.setattr(Engine, "_on_demand_rebalance", counting_rebalance)
-        monkeypatch.setattr(Engine, "_schedule_pulls", recording_draw)
-        monkeypatch.setattr(Engine, "_on_remote_pull", checking_pull)
+        log = _hook_pulls(monkeypatch)
         profile = get_profile(app)
         if app != "napa-scale":
             profile = profile.scaled(0.5)
-        simulate(profile, engine_config=EngineConfig(duration_s=70.0, seed=43))
+        result = simulate(profile, engine_config=EngineConfig(duration_s=70.0, seed=43))
 
-        assert len(rebalances) == 4 and len(chains) > 100
-        assert len(pulls) > 1000
-        assert all(same and inside for same, inside in pulls)
+        assert len(log.rebalances) == 4 and len(log.served) > 1000
+        for t, seen in log.served:
+            drawn_after, t0, t1 = log.drawn[t]
+            assert seen == drawn_after and t0 <= t < t1
+        _check_pull_accounting(log, result)
+
+    def test_pull_drawn_at_window_end_is_served_once_after_rebalance(self, monkeypatch):
+        # ``uniform(t0, t1)`` can round up to ``t1``.  Stub the first
+        # multi-pull chain of the first window to end exactly there: the
+        # chained per-pull events this stream replaced dispatched that pull
+        # after the rebalance at ``t1`` (its sequence number was later).
+        stubbed: list[float] = []
+        real_draw = Engine._draw_pulls
+
+        def draw_to_window_end(self, t0, t1):
+            times = real_draw(self, t0, t1)
+            if times is not None and len(times) > 1 and not stubbed and t0 == 0.0:
+                times[-1] = t1
+                stubbed.append(t1)
+            return times
+
+        log = _hook_pulls(monkeypatch, draw=draw_to_window_end)
+        result = simulate(
+            get_profile("tvants").scaled(0.5),
+            engine_config=EngineConfig(duration_s=50.0, seed=43),
+        )
+        assert stubbed == [20.0]
+        t1 = stubbed[0]
+        assert [t for t, _ in log.served].count(t1) == 1
+        assert (t1, 2) in log.served  # served after the second rebalance
+        at_t1 = [pull for t, pull in log.timeline if t == t1]
+        assert at_t1[-1] is True and at_t1.count(True) == 1
+        assert log.rebalances[1] == t1
+        _check_pull_accounting(log, result)
+        # Its request record was logged once, with the window it was drawn in.
+        request = result.transfers["kind"] == int(PacketKind.CONTROL)
+        packed = np.concatenate(log.blocks)
+        assert (packed["ts"] == t1).sum() == 1
+        assert (result.transfers["ts"][request] == t1).sum() == 1
+
+
+def _golden_cases() -> dict[str, tuple]:
+    """The engine and scheduler golden runs: name -> (profile, config kwargs)."""
+    from dataclasses import replace
+
+    from repro.streaming.schedulers import SCHEDULER_NAMES
+    from tests.golden.regen_engine import (
+        ENGINE_GOLDEN_APPS,
+        ENGINE_GOLDEN_KWARGS,
+        SCHEDULER_GOLDEN_APP,
+        SCHEDULER_GOLDEN_KWARGS,
+        SCHEDULER_GOLDEN_SCALE,
+    )
+
+    cases = {app: (get_profile(app), ENGINE_GOLDEN_KWARGS) for app in ENGINE_GOLDEN_APPS}
+    scaled = get_profile(SCHEDULER_GOLDEN_APP).scaled(SCHEDULER_GOLDEN_SCALE)
+    for name in sorted(SCHEDULER_NAMES):
+        cases[f"scheduler-{name}"] = (replace(scaled, scheduler=name), SCHEDULER_GOLDEN_KWARGS)
+    return cases
+
+
+class TestNoTimeTies:
+    """The pull stream reproduces the per-pull events' ``(t, seq)`` order
+    everywhere except at exact time ties, where the queued event goes
+    first and a packed request row sorts in by time alone.  On every
+    golden case no tie occurs, so byte identity rests on this property
+    and not only on the pinned seeds."""
+
+    @pytest.mark.parametrize("case", sorted(_golden_cases()))
+    def test_golden_case_has_no_pull_ties(self, monkeypatch, case):
+        profile, kwargs = _golden_cases()[case]
+        log = _hook_pulls(monkeypatch)
+        result = simulate(profile, engine_config=EngineConfig(**kwargs))
+        _check_pull_accounting(log, result)
+        assert len(log.served) > 100
+
+        queued = {t for t, pull in log.timeline if not pull}
+        assert not any(t in queued for t, _ in log.served)
+
+        packed = np.concatenate(log.blocks)["ts"]
+        assert len(packed) > 100
+        values, counts = np.unique(result.transfers["ts"], return_counts=True)
+        assert not np.isin(packed, values[counts > 1]).any()
 
 
 class TestHostTable:

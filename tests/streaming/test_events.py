@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.streaming.events import DEFAULT_BUCKET_WIDTH_S, EventQueue
@@ -218,3 +220,87 @@ class TestDifferentialVsHeap:
         heap_run = drive(HeapEventQueue())
         calendar_run = drive(EventQueue(bucket_width_s=width))
         assert calendar_run == heap_run
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.sampled_from([DEFAULT_BUCKET_WIDTH_S, 0.013, 1.7]),
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 120),
+                st.sampled_from(["none", "resched", "attach"]),
+                st.integers(0, 6),
+                st.lists(st.integers(0, 40), max_size=6),
+            ),
+            max_size=40,
+        ),
+        stream0=st.lists(st.integers(0, 120), max_size=30),
+        horizons=st.lists(st.integers(0, 130), min_size=1, max_size=4),
+    )
+    def test_stream_merge_matches_heap(self, width, events, stream0, horizons):
+        """An attached stream merges with queued events exactly as the heap
+        keyed ``(t, 0, seq)`` / ``(t, 1, i)`` orders them.
+
+        Times sit on a 25 ms grid, so stream items tie with queued events
+        and with horizons, which split buckets; callbacks reschedule into
+        the active bucket (zero or grid-step delays) and attach
+        replacement streams mid-run.  Between ``run_until`` calls the
+        per-kind counters must agree too: unserved items are pending.
+        """
+        step = 0.025
+
+        def kind(entry):
+            if entry[1] == "pull":
+                return "pull"
+            return "refire" if entry[2] >= 1000 else "fire"
+
+        def tally(order):
+            out = {}
+            for entry in order:
+                out[kind(entry)] = out.get(kind(entry), 0) + 1
+            return out
+
+        def drive(queue, snapshot):
+            order = []
+            streams = [0]
+
+            def attach(ticks):
+                times = sorted(queue.now + k * step for k in ticks)
+                streams[0] += 1
+                stream = streams[0]
+
+                def serve(i, j):
+                    order.extend((times[k], "pull", stream, k) for k in range(i, j))
+
+                queue.attach_stream(times, serve, "pull")
+
+            def refire(tag):
+                order.append((queue.now, "event", tag))
+
+            def fire(tag, action, delay, ticks):
+                order.append((queue.now, "event", tag))
+                if action == "resched":
+                    queue.schedule(queue.now + delay * step, refire, tag + 1000)
+                elif action == "attach":
+                    attach(ticks)
+
+            for tag, (k, action, delay, ticks) in enumerate(events):
+                queue.schedule(k * step, fire, tag, action, delay, ticks)
+            attach(stream0)
+            checks = []
+            for h in [*sorted(h * step for h in horizons), 99.0]:
+                processed = queue.run_until(h)
+                checks.append((processed, snapshot(queue, order)))
+            return order, checks
+
+        def heap_counts(queue, order):
+            scheduled = tally(order)
+            for name, n in queue.pending_by_kind().items():
+                scheduled[name] = scheduled.get(name, 0) + n
+            return tally(order), scheduled
+
+        def calendar_counts(queue, order):
+            return queue.dispatched_by_kind, queue.scheduled_by_kind
+
+        calendar = EventQueue(bucket_width_s=width)
+        assert drive(calendar, calendar_counts) == drive(HeapEventQueue(), heap_counts)
+        assert calendar.stream_pending == 0 and len(calendar) == 0

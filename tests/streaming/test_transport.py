@@ -84,6 +84,35 @@ class TestRecorderFlush:
         flushed.flush()
         assert flushed.finalize().tobytes() == a.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 60),
+        packed=st.sets(st.integers(0, 59)),
+        at=st.integers(0, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_packed_block_sorts_in_by_time(self, n, packed, at, seed):
+        # Rows of distinct times: a block of them, handed over packed at
+        # any point, finalizes to the log of the rows appended one by one.
+        rng = np.random.default_rng(seed)
+        ts = rng.permutation(n) * 0.5
+        rows = [(float(t), int(t) + 1, 7, 80, int(PacketKind.CONTROL), 2.0) for t in ts]
+        plain = TransferRecorder()
+        for row in rows:
+            plain.append_row(row)
+        mixed = TransferRecorder()
+        in_block = [row for i, row in enumerate(rows) if i in packed]
+        block = np.array(in_block, dtype=TRANSFER_DTYPE) if in_block else np.empty(0, TRANSFER_DTYPE)
+        loose = [row for i, row in enumerate(rows) if i not in packed]
+        for i, row in enumerate(loose):
+            if i == at:
+                mixed.append_block(block)
+            mixed.append_row(row)
+        if at >= len(loose):
+            mixed.append_block(block)
+        assert len(mixed) == n
+        assert mixed.finalize().tobytes() == plain.finalize().tobytes()
+
     def test_append_row_stays_bound_across_flushes(self):
         rec = TransferRecorder()
         append = rec.append_row
