@@ -45,6 +45,7 @@ _ENGINE_COUNTERS = (
     "video_records",
     "video_bytes",
     "score_row_builds",
+    "holder_sets_built",
 )
 #: engine_stats sub-dicts of per-event-kind counts, absorbed as one
 #: counter per kind (``engine/dispatch/tick`` etc.).

@@ -456,7 +456,9 @@ class Engine:
 
         # Sessions: remotes churn, probes stay for the whole experiment.
         self._join = np.full(n, 0.0)
-        self._leave = np.full(n, self.config.duration_s)
+        # Float even for an integer duration: remote leave times are
+        # written over this array below.
+        self._leave = np.full(n, self.config.duration_s, dtype=np.float64)
         joins, leaves = draw_session_bounds(
             self.n_remote,
             self.config.duration_s,
@@ -588,6 +590,9 @@ class Engine:
         #: Entry budget for the CDF memo, read at the schedulers' insert
         #: sites (they cannot import this module — circular).
         self._cdf_cache_max = _CDF_CACHE_MAX
+        #: Holder sets the narrow mesh-pull kernel built (its per-context
+        #: memo's misses; hits are not counted).
+        self._holder_sets_built = 0
 
     def _build_remote_row(self, pi: int) -> np.ndarray:
         """Probe ``pi``'s full remote-policy level row, built on demand.
@@ -1189,14 +1194,18 @@ class Engine:
         level index.  A narrow set (≤ ``_NARROW_PARTNERS`` partners) also
         carries ``narrow``, a scalar scan plan tuple:
 
-        * ``(gidx, remote column, probe row)`` per partner in plan order
-          (column ``-1`` for probes, row ``-1`` for remotes);
-        * ``(gidx, probe row)`` for the probe partners alone;
-        * the remote ``delays`` and ``ready`` scalars as float lists.
+        * ``(gidx, remote column, probe bit)`` per partner in plan order
+          (column ``-1`` for probes, bit ``0`` for remotes);
+        * ``(probe bit, probe row)`` for the probe partners alone, bit
+          ``1 << j`` for the ``j``-th of them;
+        * the remote ``delays`` and ``ready`` scalars as float lists;
+        * an empty list, the slot for the mesh-pull kernel's delay-rank
+          state and holder-set memo (built on first use, see
+          :mod:`repro.streaming.schedulers.mesh_pull`).
 
-        Neither layout holds chunk thresholds: both kernels compute
-        ``max(gen + delay, ready)`` for the chunks they scan, when they
-        scan them.
+        Neither layout holds chunk thresholds: the matrix kernel computes
+        ``max(gen + delay, ready)`` for the chunks it scans, the narrow
+        kernel ranks the ready remotes by delay.
         """
         # An equal set reuses the ctx; any other set rebuilds it.  One
         # slot is enough: partners only leave between refreshes, so a
@@ -1227,14 +1236,16 @@ class Engine:
         r = p = 0
         plan_cols = []
         plan = []
+        probe_bits = []
         for g in cols:
             if g < nr:
                 plan_cols.append(r)
-                plan.append((g, r, -1))
+                plan.append((g, r, 0))
                 r += 1
             else:
                 plan_cols.append(n_rem + p)
-                plan.append((g, -1, g - nr))
+                plan.append((g, -1, 1 << p))
+                probe_bits.append((1 << p, g - nr))
                 p += 1
         plan_g = partners.copy()
         # Provider level indices over the plan columns, classified on
@@ -1253,12 +1264,7 @@ class Engine:
                 [g - nr for g in cols if g >= nr], dtype=np.int64
             ),
             "narrow": (
-                (
-                    plan,
-                    [(g, row) for g, _k, row in plan if row >= 0],
-                    delays.tolist(),
-                    ready.tolist(),
-                )
+                (plan, probe_bits, delays.tolist(), ready.tolist(), [])
                 if len(cols) <= _NARROW_PARTNERS
                 else None
             ),
@@ -1273,9 +1279,9 @@ class Engine:
         the oracle's test (:meth:`RemoteAvailability.has_chunk`) for just
         the scanned rows: the diffusion threshold
         ``max(gen + delay, ready) <= t`` and the freshness deadline
-        ``gen + retention > t`` — elementwise the IEEE doubles of the
-        narrow plan's per-chunk threshold lists.  Probe columns gather
-        straight from the shared ``have`` bitmaps.
+        ``gen + retention > t`` — elementwise the scalar oracle's IEEE
+        doubles.  Probe columns gather straight from the shared ``have``
+        bitmaps.
         """
         avail = pb = None
         if ctx["n_rem"]:
@@ -1395,6 +1401,7 @@ class Engine:
             # ``lazy.score_row_misses`` again, at the top level where the
             # exported counters are read (``lazy`` matches recordings).
             "score_row_builds": int(self._remote_rows.misses),
+            "holder_sets_built": int(self._holder_sets_built),
             "signaling_intervals": int(len(signaling)),
             "bytes_recorded": int(transfers["bytes"].sum()),
             "video_records": int(video.sum()),

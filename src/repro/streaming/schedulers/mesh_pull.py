@@ -5,18 +5,46 @@ This is the selection loop that used to live inline in the engine tick;
 extracted) pins every byte of its trace.
 
 Policy: walk the missing chunks newest-first, find the partners that can
-serve each (remotes through their per-chunk diffusion thresholds,
-probe partners through their buffer bitmaps), and pick one provider per
-chunk with the awareness-weighted softmax (or a uniform exploration draw).
+serve each (remotes by their diffusion delay and ready time, probe
+partners through their buffer bitmaps), and pick one provider per chunk
+with the awareness-weighted softmax (or a uniform exploration draw).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
 
 from repro.streaming.schedulers.base import ChunkScheduler
+
+
+def _rank_remotes(delays: list[float], ready: list[float], t: float) -> list:
+    """A narrow context's delay-rank state at time ``t``.
+
+    Returns ``[t_next, ds, rank, memo]``, valid until ``t`` reaches
+    ``t_next``, the next remote's ready time (event time never runs
+    backwards):
+
+    * ``ds`` — the delays of the remotes with ``ready <= t``, ascending;
+    * ``rank`` — each remote column's position in ``ds``, or the column
+      count (never below a holder count) for a remote not yet ready;
+    * ``memo`` — an empty holder-set memo for the kernel to fill.
+
+    A remote holds the chunk generated at ``gen`` iff it is ready and
+    ``fl(gen + delay) <= t`` (and the chunk is inside retention).  IEEE
+    addition is monotone, so the ready holders are always the first
+    ``c`` entries of ``ds`` for some ``c``, and equal delays share the
+    same side of the cut.
+    """
+    n = len(delays)
+    order = sorted((k for k in range(n) if ready[k] <= t), key=delays.__getitem__)
+    rank = [n] * n
+    for i, k in enumerate(order):
+        rank[k] = i
+    t_next = min((r for r in ready if r > t), default=math.inf)
+    return [t_next, [delays[k] for k in order], rank, {}]
 
 
 class MeshPullScheduler(ChunkScheduler):
@@ -42,16 +70,20 @@ class MeshPullScheduler(ChunkScheduler):
         the same explore/CDF code, so the choice between them never
         changes a trace.
 
-        Narrow scan: each chunk's remote thresholds
-        ``max(gen + delay, ready)`` are computed as it is visited, and
-        their minimum and the freshness deadline give a fast path — while
-        no remote partner can serve a chunk (aged out, or min threshold
-        > t), only the probe partners' bits are read.  Probe bits come
-        straight from the shared byte buffer: scanned chunks sit at or
-        above every partner's row base, and chunks past the row top read
-        as not held.  The provider draw is :meth:`_request_rows`'s,
-        inlined (it runs once per decision) and keyed by the same level
-        bytes.
+        Narrow scan: a visited chunk's remote holders are the first
+        ``c`` ready remotes by delay (see :func:`_rank_remotes`), ``c``
+        found by one bisection over the sorted delays and settled with
+        the oracle's own compare ``gen + delay <= t``, so rounding in
+        ``t - gen`` cannot move it.  Aged-out chunks have ``c = 0``.  Probe
+        bits come straight from the shared byte buffer — scanned chunks
+        sit at or above every partner's row base, and chunks past the row
+        top read as not held — folded into a mask ``pm``.  Within one
+        rank state ``(c, pm)`` fixes the holder set, so the plan-ordered
+        holders and their level key are built once per pair and memoised
+        in the context; the state, and with it the memo, is rebuilt when
+        a remote's ready time is crossed.  The provider draw is
+        :meth:`_request_rows`'s, inlined (it runs once per decision) and
+        keyed by the same level bytes.
         """
         if not lookahead:
             return
@@ -67,8 +99,12 @@ class MeshPullScheduler(ChunkScheduler):
         hb = soa.have_buf
         row_off = soa.row_off
         row_top = soa.row_top
-        plan, probe_plan, delays, ready = narrow
-        has_remotes = len(delays) > 0
+        plan, probe_bits, delays, ready, ranks = narrow
+        if not ranks or t >= ranks[0]:
+            ranks[:] = _rank_remotes(delays, ready, t)
+        _, ds, rank, memo = ranks
+        n_ready = len(ds)
+        shift = len(probe_bits)
         ci = eng._av_chunk_interval
         retention = eng._av_retention
         busy_over = probe.busy_over
@@ -77,40 +113,40 @@ class MeshPullScheduler(ChunkScheduler):
         for chunk in lookahead:
             if slots <= 0:
                 break
-            remotes_live = False
-            if has_remotes:
+            c = 0
+            if n_ready:
                 gen = chunk * ci
                 if t < gen + retention:
-                    thr_list = [
-                        r if r > (m := gen + d) else m for d, r in zip(delays, ready)
-                    ]
-                    # Some remote serves the chunk iff any threshold ≤ t,
-                    # i.e. iff the minimum is.
-                    remotes_live = min(thr_list) <= t
-            if remotes_live:
-                holders = []
-                for g, k, row in plan:
-                    if k >= 0:
-                        if t < thr_list[k]:
-                            continue
-                    elif chunk >= row_top[row] or not hb[row_off[row] + chunk]:
+                    c = bisect_right(ds, t - gen)
+                    while c and gen + ds[c - 1] > t:
+                        c -= 1
+                    while c < n_ready and gen + ds[c] <= t:
+                        c += 1
+            pm = 0
+            for bit, row in probe_bits:
+                if chunk < row_top[row] and hb[row_off[row] + chunk]:
+                    pm |= bit
+            if not (c or pm):
+                continue
+            mk = c << shift | pm
+            hit = memo.get(mk)
+            if hit is None:
+                holders = [g for g, k, bit in plan if (pm & bit if k < 0 else rank[k] < c)]
+                hit = memo[mk] = (holders, bytes([level_of[g] for g in holders]))
+                eng._holder_sets_built += 1
+            holders, key = hit
+            if busy_over:
+                free = [g for g in holders if g not in busy_over]
+                if len(free) < len(holders):
+                    if not free:
                         continue
-                    holders.append(g)
-            elif probe_plan:
-                holders = []
-                for g, row in probe_plan:
-                    if chunk < row_top[row] and hb[row_off[row] + chunk]:
-                        holders.append(g)
-            else:
-                continue
-            if busy_over and holders:
-                holders = [g for g in holders if g not in busy_over]
-            if not holders:
-                continue
+                    holders = free
+                    key = None
             if rng.random() < eng._explore_prob:
                 pick = int(rng.integers(len(holders)))
             else:
-                key = bytes([level_of[g] for g in holders])
+                if key is None:
+                    key = bytes([level_of[g] for g in holders])
                 cdf = cdf_cache.get(key)
                 if cdf is None:
                     cdf = eng._provider_policy.cdf_from_levels(

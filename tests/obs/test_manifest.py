@@ -131,6 +131,16 @@ class TestCampaignManifest:
         assert "engine/score_row_builds" in render_manifest_summary(manifest)
         assert "engine/score_row_builds" in render_manifest_diff(manifest, manifest)
 
+    def test_holder_sets_built_counter_is_the_memo_misses(self, campaign, manifest):
+        counters = manifest.telemetry["counters"]
+        built = counters["engine/holder_sets_built"]
+        stats = campaign["tvants"].result.extras["engine_stats"]
+        assert built == stats["holder_sets_built"]
+        # tvants' partner sets are narrow, and a holder set is reused
+        # across the ticks of its partner context.
+        assert 0 < built < counters["engine/dispatch/tick"]
+        assert "engine/holder_sets_built" in render_manifest_summary(manifest)
+
     def test_per_kind_event_counters_present(self, manifest):
         counters = manifest.telemetry["counters"]
         dispatch = {k: v for k, v in counters.items() if k.startswith("engine/dispatch/")}

@@ -238,3 +238,14 @@ class TestScaleValidation:
     def test_scaled_swarm_rejects_discovery_overflow(self):
         with pytest.raises(ConfigurationError, match="discovery reach"):
             _napa(100)
+
+    def test_integer_duration_keeps_float_leave_times(self):
+        """An ``int`` horizon runs the same experiment as the equal float:
+        the session-bounds array is float, so the remotes' leave times are
+        not truncated to whole seconds when they are written into it.
+        Short sessions make many remotes leave inside the horizon."""
+        profile = _napa(800)
+        profile = replace(profile, churn=replace(profile.churn, mean_session_s=40.0))
+        as_int = simulate(profile, seed=3, duration_s=20)
+        as_float = simulate(profile, seed=3, duration_s=20.0)
+        assert full_digests(as_int) == full_digests(as_float)
